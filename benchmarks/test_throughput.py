@@ -1,4 +1,4 @@
-"""Query throughput: sequential loop vs batched engine vs parallel workers.
+"""Query throughput: sequential loop vs batched engine.
 
 Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_throughput.report.json``) whose advisory section
@@ -6,7 +6,7 @@ holds the wall-clock rates; the long-standing flat ``BENCH_throughput.json``
 at the repo root is kept as the :func:`repro.bench.throughput_view` of that
 report
 
-    {"qps_sequential", "qps_batch", "qps_parallel", "speedup_batch"}
+    {"qps_sequential", "qps_batch", "speedup_batch"}
 
 on the 64-d synthetic workload (10k points, 4 correlated clusters, 200
 in-distribution queries, 10-NN), and asserts the batched engine clears a
@@ -93,7 +93,7 @@ def test_throughput_speedup_and_report():
     # Answers + logical counters once (the fingerprint/counter reference),
     # then the timing comparison (which re-runs and re-verifies agreement).
     ids, dists, stats = run_workload(index, workload, use_batch=False)
-    timing = measure_throughput(index, workload, workers=4, repeats=5)
+    timing = measure_throughput(index, workload, repeats=5)
 
     report = BenchReport(
         name="throughput_64d",

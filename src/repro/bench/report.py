@@ -209,7 +209,6 @@ def _check_metric_dict(section: str, metrics: dict) -> None:
 THROUGHPUT_VIEW_KEYS = (
     "qps_sequential",
     "qps_batch",
-    "qps_parallel",
     "speedup_batch",
 )
 

@@ -6,33 +6,14 @@ cold cache and averages page reads, CPU seconds and the deterministic CPU
 work proxy.  :func:`compare_index_schemes` assembles the full panel the
 paper plots (iMMDR, iLDR, gLDR, sequential scan).
 
-Execution strategies (all bit-identical in results and per-query cost
-accounting under the cold-cache protocol):
-
-* sequential — the literal per-query loop;
-* batched — :meth:`~repro.index.base.VectorIndex.knn_batch`, sharing
-  vectorized work across the workload inside one process;
-* parallel — ``workers=N`` splits the workload into contiguous chunks and
-  runs each on its own worker (forked processes inheriting the built index
-  copy-on-write, or deep-copied thread-local indexes as a fallback),
-  reassembling results chunk by chunk and folding each worker's counter
-  delta back into the parent index in chunk order.
-
-The parallel path is self-healing (DESIGN.md §9): each chunk runs under an
-optional per-chunk timeout, a failed or timed-out chunk is retried once on
-a fresh worker pool, and chunks that fail both rounds degrade to in-process
-sequential execution — so a killed fork, a hung worker, or a poisoned
-executor still yields complete, correct workload results.  Every step down
-the ladder is recorded in obs metrics (``harness.worker_failures``,
-``harness.chunk_retries``, ``harness.degraded_chunks``).
+Two execution strategies, bit-identical in results and per-query cost
+accounting under the cold-cache protocol: the literal per-query loop, and
+:meth:`~repro.index.base.VectorIndex.knn_batch`.  Multi-process serving
+lives in :mod:`repro.serve`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import copy
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -41,12 +22,11 @@ import numpy as np
 
 from ..data.workload import QueryWorkload
 from ..index.base import QueryStats, VectorIndex
-from ..obs.tracer import NULL_TRACER, Span, TraceContext, Tracer, ensure_tracer
+from ..obs.tracer import Tracer, ensure_tracer
 from ..index.global_ldr import GlobalLDRIndex
 from ..index.idistance import ExtendedIDistance
 from ..index.seqscan import SequentialScan
 from ..reduction.base import ReducedDataset
-from ..storage.metrics import CostSnapshot
 
 __all__ = [
     "BatchCost",
@@ -88,280 +68,23 @@ def _cost_from_stats(
     )
 
 
-#: Per-chunk execution context for parallel workers.  Populated by
-#: :func:`_run_parallel` immediately before the executor is created: forked
-#: children inherit it copy-on-write (each child's ``indexes[i]`` is then a
-#: private copy of the built index), while the thread fallback stores one
-#: :func:`copy.deepcopy` clone per chunk so no two workers share counters or
-#: a buffer pool.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _execute_chunk(
+def _per_query_loop(
     index: VectorIndex,
-    chunk: QueryWorkload,
-    use_batch: bool,
-    tracer: Tracer = NULL_TRACER,
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], List[QueryStats]]:
-    """Answer one contiguous workload chunk on ``index`` (cold-cache)."""
-    if chunk.n_queries == 0:
-        return None, None, []
-    if use_batch:
-        result = index.knn_batch(chunk.queries, chunk.k, tracer=tracer)
-        return result.ids, result.distances, list(result.stats)
+    workload: QueryWorkload,
+    tracer: Tracer,
+    cold_cache: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
+    """The literal per-query ``knn`` loop, stacked into ``(Q, k)`` rows."""
     id_rows: List[np.ndarray] = []
     dist_rows: List[np.ndarray] = []
     stats: List[QueryStats] = []
-    for query in chunk.queries:
-        index.reset_cache()
-        res = index.knn(query, chunk.k, tracer=tracer)
+    for query in workload.queries:
+        if cold_cache:
+            index.reset_cache()
+        res = index.knn(query, workload.k, tracer=tracer)
         id_rows.append(res.ids)
         dist_rows.append(res.distances)
         stats.append(res.stats)
-    return np.vstack(id_rows), np.vstack(dist_rows), stats
-
-
-#: One chunk's shipped result: ids, distances, per-query stats, the counter
-#: delta to fold back (None when the chunk ran in-process on the live
-#: index), the worker tracer's spans (None when untraced), and its metric
-#: records (None when untraced).
-_ChunkResult = Tuple[
-    Optional[np.ndarray],
-    Optional[np.ndarray],
-    List[QueryStats],
-    Optional[CostSnapshot],
-    Optional[List[Span]],
-    Optional[List[dict]],
-]
-
-
-def _parallel_chunk(chunk_index: int) -> _ChunkResult:
-    """Answer one contiguous workload chunk on this worker's index clone.
-
-    Returns the chunk's ``(ids, distances, stats)`` plus the counter *delta*
-    the chunk incurred, so the parent can fold every worker's accounting
-    back into the original index in chunk order.  When the parent
-    propagated a :class:`~repro.obs.tracer.TraceContext`, the chunk runs
-    under a private worker tracer (rooted at a ``harness.worker_chunk``
-    span) whose spans and metric records ship back alongside the answers;
-    the parent grafts them into its trace via
-    :meth:`~repro.obs.tracer.Tracer.adopt_spans`, so one stitched tree
-    covers every worker.  An untraced run takes the exact pre-existing
-    path — no tracer, no spans, nothing extra pickled.
-    """
-    index: VectorIndex = _WORKER_STATE["indexes"][chunk_index]
-    chunk: QueryWorkload = _WORKER_STATE["chunks"][chunk_index]
-    use_batch: bool = _WORKER_STATE["use_batch"]
-    ctx: Optional[TraceContext] = _WORKER_STATE.get("trace")
-    before = index.counters.snapshot()
-    if ctx is None:
-        ids, distances, stats = _execute_chunk(index, chunk, use_batch)
-        delta = index.counters.snapshot() - before
-        return ids, distances, stats, delta, None, None
-    wtracer = Tracer(counters=index.counters, trace_id=ctx.trace_id)
-    with wtracer.span(
-        "harness.worker_chunk",
-        chunk=chunk_index,
-        queries=chunk.n_queries,
-        pid=os.getpid(),
-        parent_span=ctx.parent_index,
-    ):
-        ids, distances, stats = _execute_chunk(
-            index, chunk, use_batch, tracer=wtracer
-        )
-    delta = index.counters.snapshot() - before
-    return (
-        ids,
-        distances,
-        stats,
-        delta,
-        wtracer.spans,
-        wtracer.metrics.as_records(),
-    )
-
-
-def _run_round(
-    index: VectorIndex,
-    chunks: List[QueryWorkload],
-    pending: List[int],
-    workers: int,
-    use_batch: bool,
-    fork_ok: bool,
-    timeout_s: Optional[float],
-    results: Dict[int, _ChunkResult],
-    trace_ctx: Optional[TraceContext] = None,
-) -> Dict[int, str]:
-    """Run the ``pending`` chunk indexes on a fresh worker pool.
-
-    Successful chunks land in ``results``; the return value maps each
-    chunk that failed (worker exception, killed worker / broken pool, or
-    per-chunk timeout) to a failure reason — those chunks are still owed
-    an answer, and the reason survives to the degraded chunk's span so a
-    stitched trace shows *why* a chunk left the parallel path.  A fresh
-    executor per round matters: one SIGKILLed fork poisons its whole
-    ``ProcessPoolExecutor``, so retries must not reuse it.
-    """
-    if fork_ok:
-        _WORKER_STATE["indexes"] = {ci: index for ci in pending}
-    else:
-        _WORKER_STATE["indexes"] = {
-            ci: copy.deepcopy(index) for ci in pending
-        }
-    _WORKER_STATE["chunks"] = {ci: chunks[ci] for ci in pending}
-    _WORKER_STATE["use_batch"] = use_batch
-    _WORKER_STATE["trace"] = trace_ctx
-    if fork_ok:
-        ctx = multiprocessing.get_context("fork")
-        executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx
-        )
-    else:
-        executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers
-        )
-    failed: Dict[int, str] = {}
-    timed_out = False
-    try:
-        futures = {
-            ci: executor.submit(_parallel_chunk, ci) for ci in pending
-        }
-        done, not_done = concurrent.futures.wait(
-            futures.values(), timeout=timeout_s
-        )
-        for ci, future in futures.items():
-            if future in not_done:
-                timed_out = True
-                future.cancel()
-                failed[ci] = "timeout"
-                continue
-            try:
-                results[ci] = future.result()
-            except Exception as exc:
-                # Worker raised, or the pool broke (killed fork): the chunk
-                # is retried / degraded by the caller.
-                failed[ci] = type(exc).__name__
-    finally:
-        if timed_out and fork_ok:
-            # A hung fork never drains; reap it so shutdown cannot block.
-            for proc in list(getattr(executor, "_processes", {}).values()):
-                proc.terminate()
-        executor.shutdown(wait=fork_ok and not timed_out, cancel_futures=True)
-        _WORKER_STATE.clear()
-    return failed
-
-
-def _run_parallel(
-    index: VectorIndex,
-    workload: QueryWorkload,
-    workers: int,
-    use_batch: bool,
-    tracer: Tracer,
-    timeout_s: Optional[float] = None,
-) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-    """Split the workload into ``workers`` contiguous chunks and answer each
-    on its own worker, reassembling everything in workload order.
-
-    Workers are forked processes when the platform supports ``fork`` (the
-    built index is inherited copy-on-write — no serialization of the page
-    store), else threads over deep-copied clones.  Either way each worker
-    owns a private buffer pool and counter set, so per-query cold-cache
-    accounting is bit-identical to a sequential run; the deltas are folded
-    into the parent index's counters chunk by chunk, which keeps the final
-    counter state deterministic for a given worker count.
-
-    Degradation ladder: chunks that fail their first round (exception,
-    killed worker, timeout past ``timeout_s``) are retried once on a fresh
-    pool; chunks that fail again run sequentially in-process — the answers
-    are bit-identical on every rung, only wall-clock suffers.  The ladder
-    is observable via ``harness.worker_failures`` / ``harness.chunk_retries``
-    / ``harness.degraded_chunks`` counters on the tracer's metrics.
-
-    With a real ``tracer``, the run produces one *stitched* trace: each
-    worker records its chunk under a private tracer (propagated via
-    :class:`~repro.obs.tracer.TraceContext`) whose spans and metrics ship
-    back with the chunk's answers and are grafted under this call's
-    ``knn.parallel`` span in chunk order, with per-worker attribution;
-    degraded chunks appear as ``harness.degraded_chunk`` spans carrying
-    the failure reason that forced them off the parallel path.
-    """
-    chunks = workload.chunks(workers)
-    fork_ok = "fork" in multiprocessing.get_all_start_methods()
-    results: Dict[int, _ChunkResult] = {}
-    pending = list(range(len(chunks)))
-    reasons: Dict[int, str] = {}
-    with tracer.span(
-        "knn.parallel",
-        scheme=index.name,
-        workers=workers,
-        n_queries=workload.n_queries,
-        fork=fork_ok,
-        timeout_s=timeout_s,
-    ) as span:
-        trace_ctx = (
-            TraceContext(tracer.trace_id, span.index)
-            if tracer.enabled
-            else None
-        )
-        for round_idx in range(2):
-            if not pending:
-                break
-            if round_idx > 0:
-                tracer.counter("harness.chunk_retries").inc(len(pending))
-            failed = _run_round(
-                index,
-                chunks,
-                pending,
-                workers,
-                use_batch,
-                fork_ok,
-                timeout_s,
-                results,
-                trace_ctx=trace_ctx,
-            )
-            if failed:
-                tracer.counter("harness.worker_failures").inc(len(failed))
-                reasons.update(failed)
-            pending = sorted(failed)
-        if pending:
-            # Last rung: sequential in-process execution of the survivors.
-            # The live index's counters advance directly here, so these
-            # chunks carry no delta to fold back in.  Each degraded chunk
-            # runs under its own span (carrying the failure reason that
-            # pushed it off the parallel path), so its queries' spans are
-            # rooted in the stitched trace like any worker's.
-            tracer.counter("harness.degraded_chunks").inc(len(pending))
-            for ci in pending:
-                with tracer.span(
-                    "harness.degraded_chunk",
-                    counters=index.counters,
-                    chunk=ci,
-                    queries=chunks[ci].n_queries,
-                    reason=reasons.get(ci, "unknown"),
-                ):
-                    ids, distances, chunk_stats = _execute_chunk(
-                        index, chunks[ci], use_batch, tracer=tracer
-                    )
-                results[ci] = (ids, distances, chunk_stats, None, None, None)
-        if tracer.enabled:
-            span.set(degraded_chunks=len(pending))
-    id_rows: List[np.ndarray] = []
-    dist_rows: List[np.ndarray] = []
-    stats: List[QueryStats] = []
-    for ci in range(len(chunks)):
-        ids, distances, chunk_stats, delta, spans, metric_records = (
-            results[ci]
-        )
-        if delta is not None:
-            index.counters.merge(delta)
-        if spans:
-            tracer.adopt_spans(spans, parent=span, worker=ci)
-        if metric_records:
-            tracer.metrics.merge_records(metric_records)
-        if ids is None:
-            continue
-        id_rows.append(ids)
-        dist_rows.append(distances)
-        stats.extend(chunk_stats)
     if not id_rows:
         return (
             np.empty((0, 0), dtype=np.int64),
@@ -377,9 +100,7 @@ def run_query_batch(
     cold_cache: bool = True,
     collect_ids: Optional[List[np.ndarray]] = None,
     tracer: Optional[Tracer] = None,
-    workers: int = 1,
     use_batch: bool = False,
-    worker_timeout_s: Optional[float] = None,
 ) -> BatchCost:
     """Answer every query; return per-query cost averages.
 
@@ -391,115 +112,65 @@ def run_query_batch(
     (with nested per-phase spans, for indexes that emit them) across the
     whole batch; results are bit-identical with or without one.
 
-    ``use_batch=True`` routes through :meth:`VectorIndex.knn_batch` (the
-    shared-scan fast path where the index provides one), and ``workers > 1``
-    splits the workload across parallel workers — both return the same ids,
-    distances and per-query page/distance accounting as the default
-    per-query loop, bit for bit; only wall-clock attribution differs (batch
-    wall time is apportioned equally across its queries).  Both accelerated
-    routes require the cold-cache protocol, since a warm cache's hit pattern
-    depends on cross-query page interleaving that a shared or split scan
-    would change.  ``worker_timeout_s`` bounds each parallel round; chunks
-    that outlive it walk the degradation ladder (retry, then in-process).
+    ``use_batch=True`` routes through :meth:`VectorIndex.knn_batch`, which
+    returns the same ids, distances and per-query page/distance accounting
+    as the default per-query loop, bit for bit; only wall-clock attribution
+    differs (a vectorized engine's wall time is apportioned equally across
+    its queries).  It requires the cold-cache protocol, since a warm
+    cache's hit pattern depends on cross-query page interleaving that a
+    shared scan would change.
     """
     tracer = ensure_tracer(tracer)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 or use_batch:
-        if not cold_cache:
-            raise ValueError(
-                "batched/parallel execution requires cold_cache=True: "
-                "warm-cache accounting depends on cross-query page "
-                "interleaving that a shared or split scan would change"
-            )
-        if workers > 1:
-            ids, _, stats = _run_parallel(
-                index, workload, workers, use_batch, tracer,
-                timeout_s=worker_timeout_s,
-            )
-        else:
-            result = index.knn_batch(
-                workload.queries, workload.k, tracer=tracer
-            )
-            ids, stats = result.ids, list(result.stats)
-        if collect_ids is not None:
-            collect_ids.extend(ids[i] for i in range(ids.shape[0]))
-        return _cost_from_stats(index, workload, stats)
-    stats = []
-    for query in workload.queries:
-        if cold_cache:
-            index.reset_cache()
-        result = index.knn(query, workload.k, tracer=tracer)
-        stats.append(result.stats)
-        if collect_ids is not None:
-            collect_ids.append(result.ids)
+    if use_batch and not cold_cache:
+        raise ValueError(
+            "batched execution requires cold_cache=True: warm-cache "
+            "accounting depends on cross-query page interleaving that a "
+            "shared scan would change"
+        )
+    if use_batch:
+        result = index.knn_batch(workload.queries, workload.k, tracer=tracer)
+        ids, stats = result.ids, list(result.stats)
+    else:
+        ids, _, stats = _per_query_loop(index, workload, tracer, cold_cache)
+    if collect_ids is not None:
+        collect_ids.extend(ids[i] for i in range(ids.shape[0]))
     return _cost_from_stats(index, workload, stats)
 
 
 def run_workload(
     index: VectorIndex,
     workload: QueryWorkload,
-    workers: int = 1,
     use_batch: bool = True,
     tracer: Optional[Tracer] = None,
-    worker_timeout_s: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
     """Full-results companion to :func:`run_query_batch`: the ``(Q, k)``
     ids/distances matrices plus per-query stats, under the same routing
-    (``workers``/``use_batch``) and the cold-cache protocol.
-
-    ``worker_timeout_s`` bounds each parallel round: chunks still running
-    when it expires are treated as failed and walk the degradation ladder
-    (retry once on a fresh pool, then in-process sequential execution).
+    (``use_batch``) and the cold-cache protocol.
 
     Exists for callers that need the actual answers — equivalence tests,
     precision evaluation, the throughput benchmark — rather than cost
     averages.
     """
     tracer = ensure_tracer(tracer)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        return _run_parallel(
-            index, workload, workers, use_batch, tracer,
-            timeout_s=worker_timeout_s,
-        )
     if use_batch:
         result = index.knn_batch(workload.queries, workload.k, tracer=tracer)
         return result.ids, result.distances, list(result.stats)
-    id_rows: List[np.ndarray] = []
-    dist_rows: List[np.ndarray] = []
-    stats: List[QueryStats] = []
-    for query in workload.queries:
-        index.reset_cache()
-        res = index.knn(query, workload.k, tracer=tracer)
-        id_rows.append(res.ids)
-        dist_rows.append(res.distances)
-        stats.append(res.stats)
-    if not id_rows:
-        return (
-            np.empty((0, 0), dtype=np.int64),
-            np.empty((0, 0), dtype=np.float64),
-            [],
-        )
-    return np.vstack(id_rows), np.vstack(dist_rows), stats
+    return _per_query_loop(index, workload, tracer)
 
 
 def measure_throughput(
     index: VectorIndex,
     workload: QueryWorkload,
-    workers: int = 2,
     repeats: int = 1,
     tracer: Optional[Tracer] = None,
 ) -> Dict[str, float]:
-    """Time the three execution strategies on one workload and verify they
-    agree.
+    """Time the per-query loop against ``knn_batch`` on one workload and
+    verify they agree.
 
-    Runs the sequential per-query loop, the batched fast path and the
-    ``workers``-way parallel path ``repeats`` times each (best-of timing,
-    which filters scheduler noise), asserts the accelerated routes return
-    exactly the sequential ids and distances, and returns queries/second
-    for each plus the batch speedup — the schema ``BENCH_throughput.json``
+    Runs both strategies ``repeats`` times each (best-of timing, which
+    filters scheduler noise), asserts the batch returns exactly the
+    sequential ids and distances, and returns queries/second for each
+    plus the batch speedup — the schema ``BENCH_throughput.json``
     records.  A real ``tracer`` also gets the ``knn.batch_speedup`` gauge.
     """
     tracer = ensure_tracer(tracer)
@@ -507,68 +178,39 @@ def measure_throughput(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     n = workload.n_queries
 
-    def timed(fn):
+    def timed(use_batch: bool):
         start = time.perf_counter()
-        out = fn()
-        return time.perf_counter() - start, out
-
-    def sequential() -> Tuple[np.ndarray, np.ndarray]:
-        id_rows, dist_rows = [], []
-        for query in workload.queries:
-            index.reset_cache()
-            res = index.knn(query, workload.k)
-            id_rows.append(res.ids)
-            dist_rows.append(res.distances)
-        return np.vstack(id_rows), np.vstack(dist_rows)
-
-    def batched() -> Tuple[np.ndarray, np.ndarray]:
-        res = index.knn_batch(workload.queries, workload.k)
-        return res.ids, res.distances
-
-    def parallel() -> Tuple[np.ndarray, np.ndarray]:
-        ids, distances, _ = _run_parallel(
-            index, workload, workers, True, ensure_tracer(None)
-        )
-        return ids, distances
+        ids, distances, _ = run_workload(index, workload, use_batch)
+        return time.perf_counter() - start, (ids, distances)
 
     # Interleave the strategies round by round (rather than timing each in
     # its own phase) so transient machine load hits them alike; best-of
-    # then filters the noisy rounds for all three symmetrically.
-    t_seq = t_batch = t_par = np.inf
-    seq_out = batch_out = par_out = None
+    # then filters the noisy rounds for both symmetrically.
+    t_seq = t_batch = np.inf
+    seq_out = batch_out = None
     for _ in range(repeats):
-        t, out = timed(sequential)
+        t, out = timed(False)
         if t < t_seq:
             t_seq, seq_out = t, out
-        t, out = timed(batched)
+        t, out = timed(True)
         if t < t_batch:
             t_batch, batch_out = t, out
-        t, out = timed(parallel)
-        if t < t_par:
-            t_par, par_out = t, out
     seq_ids, seq_dists = seq_out
     batch_ids, batch_dists = batch_out
-    par_ids, par_dists = par_out
     if not np.array_equal(seq_ids, batch_ids):
         raise AssertionError("knn_batch ids diverge from sequential knn")
     if not np.array_equal(seq_dists, batch_dists):
         raise AssertionError(
             "knn_batch distances diverge from sequential knn"
         )
-    if not np.array_equal(seq_ids, par_ids):
-        raise AssertionError("parallel ids diverge from sequential knn")
-    if not np.array_equal(seq_dists, par_dists):
-        raise AssertionError("parallel distances diverge from sequential knn")
     qps_sequential = n / t_seq
     qps_batch = n / t_batch
-    qps_parallel = n / t_par
     speedup = qps_batch / qps_sequential
     if tracer.enabled:
         tracer.gauge("knn.batch_speedup").set(speedup)
     return {
         "qps_sequential": qps_sequential,
         "qps_batch": qps_batch,
-        "qps_parallel": qps_parallel,
         "speedup_batch": speedup,
     }
 

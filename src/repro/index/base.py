@@ -230,16 +230,17 @@ class VectorIndex(ABC):
         mode: str = "exact",
         rerank_depth: Optional[int] = None,
     ) -> BatchKNNResult:
-        """Answer every query in ``(Q, d)`` ``queries``, sharing work across
-        the batch where the index provides a vectorized fast path.
+        """Answer every query in ``(Q, d)`` ``queries``.
 
         Results (ids, distances) and per-query cost accounting are
-        bit-identical to a per-query :meth:`knn` loop under the cold-cache
-        protocol; the fast paths exist purely to amortize per-query Python
-        and small-kernel overhead across the workload.  ``cold_cache=False``
-        falls back to the sequential loop (warm-cache accounting depends on
-        the exact cross-query page interleaving, which a shared scan would
-        change), and so do indexes without a fast path.
+        bit-identical to a per-query :meth:`knn` loop under the same cache
+        protocol.  A scheme either overrides :meth:`_knn_batch` with a
+        vectorized engine (iDistance's shared scan, which amortizes
+        per-query Python and small-kernel overhead across the workload) or
+        is answered by that loop (:meth:`_knn_batch_loop`; SeqScan and
+        gLDR).  ``cold_cache=False`` always runs the loop: warm-cache
+        accounting depends on the exact cross-query page interleaving,
+        which a shared scan would change.
 
         The whole call runs under one ``knn.batch`` span; a real ``tracer``
         also gets a ``knn.batch_qps`` gauge.  The index's own counters are
@@ -282,8 +283,6 @@ class VectorIndex(ABC):
             valid &= np.linalg.norm(queries, axis=1) > 0.0
         invalid_rows = np.flatnonzero(~valid)
         valid_queries = queries if valid.all() else queries[valid]
-        if self.metric == "cosine":
-            valid_queries = normalize_rows(valid_queries)
         start = time.perf_counter()
         with tracer.span(
             "knn.batch",
@@ -337,9 +336,16 @@ class VectorIndex(ABC):
         mode: str = "exact",
         rerank_depth: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats], float]:
-        """Route pre-validated queries to the fast path or the loop."""
+        """Route pre-validated queries to the fast path or the loop.
+
+        The loop gets the caller's rows (:meth:`knn` normalizes each one
+        under the cosine metric); the fast path gets them normalized
+        here, through the same :func:`normalize_rows`.
+        """
         has_fast_path = type(self)._knn_batch is not VectorIndex._knn_batch
         if has_fast_path and cold_cache and mode == "exact":
+            if self.metric == "cosine":
+                queries = normalize_rows(queries)
             with self.counters.cpu_timer():
                 ids, distances, stats = self._knn_batch(queries, k, tracer)
             wall = time.perf_counter() - start

@@ -22,11 +22,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..linalg.backend import batch_l2_rows
 from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors, rows_per_page
-from .base import DEFAULT_POOL_PAGES, KNNResult, QueryStats, VectorIndex
+from .base import DEFAULT_POOL_PAGES, KNNResult, VectorIndex
 from .dynamic import DeltaStore, route_point
 from .hybrid_tree import HybridTree
 
@@ -184,34 +183,19 @@ class GlobalLDRIndex(VectorIndex):
         k: int,
         tracer: Tracer = NULL_TRACER,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Best-first search: outliers and the insert delta first (exact
+        distances tighten the global bound), then one frontier across
+        every cluster's Hybrid tree."""
         k = min(k, self.live_count)
-        q_proj = [
-            self.reduced.subspaces[i].project(query)
-            for i in range(len(self.trees))
-        ]
-        return self._search_core(query, k, q_proj, None, tracer)
-
-    def _search_core(
-        self,
-        query: np.ndarray,
-        k: int,
-        q_proj: List[np.ndarray],
-        outlier_dists: Optional[np.ndarray],
-        tracer: Tracer,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Best-first search with the query geometry already computed.
-
-        ``outlier_dists`` optionally carries precomputed exact outlier
-        distances (one row of the batch path's full-matrix kernel, which is
-        bit-identical to the per-query norm); the I/O and distance
-        *accounting* is charged here either way, so batched and sequential
-        executions cost the same.
-        """
         if k <= 0:  # every point deleted — nothing to return
             return (
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
             )
+        q_proj = [
+            self.reduced.subspaces[i].project(query)
+            for i in range(len(self.trees))
+        ]
         results: List[Tuple[float, int]] = []  # max-heap via negation
         tombs = getattr(self, "_tombstones", ())
 
@@ -233,12 +217,7 @@ class GlobalLDRIndex(VectorIndex):
                 outliers=int(outliers.size),
             ):
                 self.counters.count_sequential_read(self.outlier_pages)
-                if outlier_dists is None:
-                    dists = np.linalg.norm(
-                        outliers.points - query, axis=1
-                    )
-                else:
-                    dists = outlier_dists
+                dists = np.linalg.norm(outliers.points - query, axis=1)
                 self.counters.count_distance(
                     outliers.size, dims=self.reduced.dimensionality
                 )
@@ -297,71 +276,3 @@ class GlobalLDRIndex(VectorIndex):
         distances = np.array([d for d, _ in ordered])
         ids = np.array([rid for _, rid in ordered], dtype=np.int64)
         return ids, distances
-
-    # ------------------------------------------------------------------
-    # batched execution
-    # ------------------------------------------------------------------
-
-    def _knn_batch(
-        self, queries: np.ndarray, k: int, tracer: Tracer
-    ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-        """Batch execution: one full-matrix outlier kernel, then the
-        per-query best-first tree walk.
-
-        The exact outlier distances for the whole workload are computed
-        in one :func:`~repro.linalg.kernels.batch_l2_rows` call (each row
-        bit-identical to the sequential per-query norm); the Hybrid-tree
-        frontier walk is inherently per-query — its expansion order
-        depends on the evolving global bound — so it runs sequentially
-        with a cache reset and a counter-snapshot diff per query, exactly
-        like a cold :meth:`knn` loop.
-        """
-        n_queries = queries.shape[0]
-        if n_queries == 0:
-            return (
-                np.empty((0, 0), dtype=np.int64),
-                np.empty((0, 0), dtype=np.float64),
-                [],
-            )
-        k_eff = min(k, self.live_count)
-        outliers = self.reduced.outliers
-        outlier_dists: Optional[np.ndarray] = None
-        if outliers.size:
-            with tracer.span(
-                "gldr.batch_outlier_matrix",
-                n_queries=n_queries,
-                outliers=int(outliers.size),
-            ):
-                outlier_dists = batch_l2_rows(outliers.points, queries)
-        subspaces = self.reduced.subspaces
-        id_rows: List[np.ndarray] = []
-        dist_rows: List[np.ndarray] = []
-        stats: List[QueryStats] = []
-        previous_pool_tracer = self.pool.tracer
-        self.pool.tracer = tracer if tracer.enabled else None
-        try:
-            for i in range(n_queries):
-                query = queries[i]
-                self.reset_cache()
-                q_proj = [
-                    subspaces[t].project(query)
-                    for t in range(len(self.trees))
-                ]
-                before = self.counters.snapshot()
-                ids_i, dists_i = self._search_core(
-                    query,
-                    k_eff,
-                    q_proj,
-                    None if outlier_dists is None else outlier_dists[i],
-                    tracer,
-                )
-                stats.append(
-                    QueryStats.from_snapshots(
-                        before, self.counters.snapshot()
-                    )
-                )
-                id_rows.append(ids_i)
-                dist_rows.append(dists_i)
-        finally:
-            self.pool.tracer = previous_pool_tracer
-        return np.vstack(id_rows), np.vstack(dist_rows), stats

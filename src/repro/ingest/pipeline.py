@@ -469,14 +469,6 @@ class IngestPipeline:
     def n_live(self) -> int:
         return len(self._vectors)
 
-    @property
-    def next_global_rid(self) -> int:
-        """A fresh global rid (callers may also bring their own)."""
-        ceiling = max(self._vectors, default=-1)
-        if self._deleted:
-            ceiling = max(ceiling, max(self._deleted))
-        return ceiling + 1
-
     def _bookkeep(self, op: Op) -> None:
         """Track one applied op's rid-space effects (no index access)."""
         if op[0] == "insert":

@@ -23,9 +23,10 @@ whole-query granularity:
 
 Instrumented call sites default to :data:`NULL_TRACER`, a shared no-op, so
 runs without a tracer pay only attribute lookups and stay bit-identical.
-Multi-worker runs stitch into one trace: :class:`TraceContext` propagates
-the trace identity into workers and :meth:`Tracer.adopt_spans` grafts
-their spans back under the parent span.
+Multi-process serving stitches into one trace: the router sends its
+``trace_id`` with each request, every shard worker records under a tracer
+stamped with it, and :meth:`Tracer.adopt_spans` grafts the workers' spans
+back under the router's scatter span.
 """
 
 from .explain import QueryExplain, explain_from_records, explain_from_tracer
@@ -42,7 +43,6 @@ from .tracer import (
     NULL_TRACER,
     NullTracer,
     Span,
-    TraceContext,
     Tracer,
     ensure_tracer,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "NullTracer",
     "QueryExplain",
     "Span",
-    "TraceContext",
     "Tracer",
     "ensure_tracer",
     "drift_scores",

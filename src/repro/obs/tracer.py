@@ -43,7 +43,6 @@ from .metrics import (
 
 __all__ = [
     "Span",
-    "TraceContext",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -57,20 +56,6 @@ _TRACE_SEQ = itertools.count(1)
 
 def _new_trace_id() -> str:
     return f"{os.getpid():x}-{next(_TRACE_SEQ):x}"
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """What a worker needs to join its spans to a parent trace.
-
-    Propagated (picklable) into forked/thread workers by the parallel
-    harness: the worker records spans on a private tracer stamped with
-    ``trace_id`` and ships them back; the parent re-indexes them under the
-    span at ``parent_index`` via :meth:`Tracer.adopt_spans`.
-    """
-
-    trace_id: str
-    parent_index: int
 
 
 @dataclass

@@ -281,8 +281,6 @@ class Router:
         }
         self._req_seq = itertools.count(1)
         self._inflight = threading.Semaphore(self.config.max_inflight)
-        self._heartbeat_stop: Optional[threading.Event] = None
-        self._heartbeat_thread: Optional[threading.Thread] = None
         #: Shards mid-swap: excluded from the scatter (reported missing /
         #: partial via the normal degrade contract) instead of queueing
         #: requests behind the respawn.  Mutated only by rolling_swap.
@@ -727,35 +725,8 @@ class Router:
             report[sid] = entry
         return report
 
-    def start_heartbeats(self, interval_s: float = 1.0) -> None:
-        """Run :meth:`check_health` on a background daemon thread."""
-        if self._heartbeat_thread is not None:
-            return
-        stop = threading.Event()
-
-        def loop() -> None:
-            while not stop.wait(interval_s):
-                try:
-                    self.check_health()
-                except Exception:
-                    # Heartbeats must never take the router down.
-                    self.metrics.counter(
-                        "serve.heartbeat_errors"
-                    ).inc()
-
-        self._heartbeat_stop = stop
-        self._heartbeat_thread = threading.Thread(
-            target=loop, daemon=True
-        )
-        self._heartbeat_thread.start()
-
     def close(self) -> None:
-        """Stop heartbeats and shut down every worker."""
-        if self._heartbeat_stop is not None:
-            self._heartbeat_stop.set()
-            self._heartbeat_thread.join(timeout=5.0)
-            self._heartbeat_stop = None
-            self._heartbeat_thread = None
+        """Shut down every worker."""
         self.supervisor.stop()
 
     def __enter__(self) -> "Router":

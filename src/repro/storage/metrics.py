@@ -51,12 +51,7 @@ class CostSnapshot:
         )
 
     def __add__(self, other: "CostSnapshot") -> "CostSnapshot":
-        """Field-wise sum — the merge operation for parallel query workers.
-
-        Addition is commutative field-by-field, but the parallel harness
-        still folds worker deltas in chunk order so float ``cpu_seconds``
-        accumulates deterministically for a given worker count.
-        """
+        """Field-wise sum of two snapshots (e.g. per-query deltas)."""
         return CostSnapshot(
             **{
                 f.name: getattr(self, f.name) + getattr(other, f.name)
@@ -145,10 +140,9 @@ class CostCounters:
     def merge(self, delta: CostSnapshot) -> None:
         """Fold a snapshot *delta* into these counters.
 
-        Used by the batch/parallel query paths: work accounted elsewhere
-        (per-query ledgers, or a forked worker's counter set) is summed and
-        folded back so the index's own counters still reflect every query
-        it has ever answered.
+        Used by the vectorized batch engine: work accounted elsewhere
+        (per-query ledgers) is summed and folded back so the index's own
+        counters still reflect every query it has ever answered.
         """
         for name in _SNAPSHOT_FIELD_NAMES:
             setattr(self, name, getattr(self, name) + getattr(delta, name))

@@ -1,9 +1,8 @@
-"""Batch / parallel execution must be bit-identical to the per-query loop.
+"""Batched execution must be bit-identical to the per-query loop.
 
-The batched engine (:meth:`VectorIndex.knn_batch`) and the parallel harness
-(``run_query_batch(..., workers=N)``) exist purely to amortize per-query
-overhead — the contract is that results AND cold-cache cost accounting are
-bit-for-bit those of a sequential ``knn`` loop.  These tests enforce that
+The batched engine (:meth:`VectorIndex.knn_batch`) exists purely to
+amortize per-query overhead — the contract is that results AND cold-cache
+cost accounting are bit-for-bit those of a sequential ``knn`` loop.  These tests enforce that
 contract on every scheme, in property style: many queries, several k values,
 dynamic inserts, tracer on and off.
 """
@@ -12,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core.mmdr import MMDR
-from repro.data.workload import QueryWorkload, sample_queries
-from repro.eval.harness import run_query_batch, run_workload
+from repro.data.workload import sample_queries
+from repro.eval.harness import run_query_batch
 from repro.index.global_ldr import GlobalLDRIndex
 from repro.index.idistance import ExtendedIDistance
 from repro.index.seqscan import SequentialScan
@@ -77,17 +76,9 @@ class TestBatchEquivalence:
         assert_equivalent(seq, (res.ids, res.distances, list(res.stats)))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_parallel_workers_bit_identical(self, scheme, reduced, workload):
-        _, red = reduced
-        seq = sequential_reference(scheme(red), workload)
-        index = scheme(red)
-        par = run_workload(index, workload, workers=2, use_batch=True)
-        assert_equivalent(seq, par)
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_counters_match_sequential_totals(self, scheme, reduced, workload):
-        """Batch and parallel runs must leave the index's own counters at
-        exactly the sequential totals (deterministic fields)."""
+        """A batch run must leave the index's own counters at exactly the
+        sequential totals (deterministic fields)."""
         _, red = reduced
         ref = scheme(red)
         sequential_reference(ref, workload)
@@ -101,13 +92,8 @@ class TestBatchEquivalence:
         )
         batch_index = scheme(red)
         batch_index.knn_batch(workload.queries, workload.k)
-        par_index = scheme(red)
-        run_workload(par_index, workload, workers=3, use_batch=True)
         for f in fields:
             assert getattr(batch_index.counters, f) == getattr(
-                ref.counters, f
-            ), f
-            assert getattr(par_index.counters, f) == getattr(
                 ref.counters, f
             ), f
 
@@ -221,7 +207,7 @@ class TestBatchEquivalence:
 class TestHarnessRouting:
     def test_run_query_batch_routes_agree(self, reduced, workload):
         _, red = reduced
-        ids_loop, ids_batch, ids_par = [], [], []
+        ids_loop, ids_batch = [], []
         loop = run_query_batch(
             ExtendedIDistance(red), workload, collect_ids=ids_loop
         )
@@ -231,23 +217,14 @@ class TestHarnessRouting:
             collect_ids=ids_batch,
             use_batch=True,
         )
-        par = run_query_batch(
-            ExtendedIDistance(red),
-            workload,
-            collect_ids=ids_par,
-            workers=2,
-            use_batch=True,
-        )
         assert loop.mean_page_reads == batch.mean_page_reads
-        assert loop.mean_page_reads == par.mean_page_reads
         assert (
             loop.mean_distance_computations
             == batch.mean_distance_computations
-            == par.mean_distance_computations
         )
-        for a, b, c in zip(ids_loop, ids_batch, ids_par):
+        assert len(ids_loop) == len(ids_batch) == workload.n_queries
+        for a, b in zip(ids_loop, ids_batch):
             assert np.array_equal(a, b)
-            assert np.array_equal(a, c)
 
     def test_warm_cache_fast_paths_rejected(self, reduced, workload):
         _, red = reduced
@@ -258,21 +235,6 @@ class TestHarnessRouting:
                 cold_cache=False,
                 use_batch=True,
             )
-        with pytest.raises(ValueError):
-            run_query_batch(
-                ExtendedIDistance(red), workload, cold_cache=False, workers=2
-            )
-
-    def test_more_workers_than_queries(self, reduced, two_cluster_dataset):
-        _, red = reduced
-        wl = sample_queries(
-            two_cluster_dataset.points, 3, np.random.default_rng(2), k=5
-        )
-        seq = sequential_reference(ExtendedIDistance(red), wl)
-        par = run_workload(
-            ExtendedIDistance(red), wl, workers=8, use_batch=True
-        )
-        assert_equivalent(seq, par)
 
     def test_workload_chunks_contiguous(self, workload):
         chunks = workload.chunks(3)

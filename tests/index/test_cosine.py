@@ -81,14 +81,19 @@ class TestCosineEqualsL2OnNormalized:
         np.testing.assert_allclose(a.distances, b.distances, atol=1e-12)
 
     def test_batch_matches_sequential(self, scheme, setting):
+        # Both cache protocols: the vectorized engine and the per-query
+        # loop must each normalize a raw row exactly once, as knn does.
         normalized, raw_queries = setting
         cos_index, _ = build_pair(scheme, normalized)
-        batch = cos_index.knn_batch(raw_queries, 10)
-        assert batch.invalid_queries == ()
-        for qi, raw in enumerate(raw_queries):
-            want = cos_index.knn(raw, 10)
-            assert np.array_equal(batch.ids[qi], want.ids)
-            assert np.array_equal(batch.distances[qi], want.distances)
+        for cold_cache in (True, False):
+            batch = cos_index.knn_batch(
+                raw_queries, 10, cold_cache=cold_cache
+            )
+            assert batch.invalid_queries == ()
+            for qi, raw in enumerate(raw_queries):
+                want = cos_index.knn(raw, 10)
+                assert np.array_equal(batch.ids[qi], want.ids)
+                assert np.array_equal(batch.distances[qi], want.distances)
 
     def test_insert_normalizes_at_the_boundary(self, scheme, setting):
         normalized, raw_queries = setting

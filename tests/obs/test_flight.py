@@ -7,6 +7,7 @@ import pytest
 from repro.core.mmdr import MMDR
 from repro.data.workload import sample_queries
 from repro.index.base import QueryStats
+from repro.index.idistance import ExtendedIDistance
 from repro.index.seqscan import SequentialScan
 from repro.obs.flight import (
     LOGICAL_PAGE_WEIGHT,
@@ -120,7 +121,7 @@ class TestIndexIntegration:
     def test_batch_fast_path_records_with_batch_kind(
         self, reduced, workload
     ):
-        index = SequentialScan(reduced)
+        index = ExtendedIDistance(reduced)
         rec = index.enable_flight_recorder(capacity=16)
         index.knn_batch(workload.queries, workload.k)
         assert rec.total_queries == workload.n_queries

@@ -364,22 +364,56 @@ def test_check_health_reports_and_heals(serve_cluster, serve_queries):
     assert not router.knn(serve_queries, 5).partial
 
 
-def test_trace_stitching_across_workers(serve_cluster, serve_queries):
+@pytest.mark.obs_smoke
+def test_trace_stitching_across_workers(
+    serve_cluster, serve_queries, monkeypatch
+):
+    """A traced ``Router.knn`` yields one coherent trace: each shard's
+    ``knn.batch`` span sits directly under ``serve.scatter``, carries
+    ``worker=<shard>`` and was recorded under the router's trace id,
+    worker metrics merge into the router's registry, and tracing leaves
+    the merged answers bit-identical."""
+    from repro.serve import worker as worker_module
+
+    class TraceIdStampingTracer(Tracer):
+        """Worker-side spy (inherited by the forked workers): stamps the
+        trace id the worker's tracer was minted with on every span."""
+
+        def span(self, name, counters=None, **attributes):
+            attributes.setdefault("trace_id", self.trace_id)
+            return super().span(name, counters=counters, **attributes)
+
+    monkeypatch.setattr(worker_module, "Tracer", TraceIdStampingTracer)
     router = serve_cluster(n_shards=2)
+    plain = router.knn(serve_queries, 5)
     tracer = Tracer()
-    result = router.knn(serve_queries, 5, tracer=tracer)
-    assert not result.partial
-    scatter = [s for s in tracer.spans if s.name == "serve.scatter"]
-    assert len(scatter) == 1
-    adopted = [
-        s
-        for s in tracer.spans
-        if s.parent == scatter[0].index
-        and s.attributes.get("worker") is not None
-    ]
-    assert sorted(s.attributes["worker"] for s in adopted) == [0, 1]
-    # Worker-side batch spans arrived under the scatter span.
-    assert sum(1 for s in tracer.spans if s.name == "knn.batch") == 2
-    # Worker metrics merged into the parent registry.
+    traced = router.knn(serve_queries, 5, tracer=tracer)
+    assert not traced.partial
+    assert np.array_equal(plain.ids, traced.ids)
+    assert np.array_equal(plain.distances, traced.distances)
+
+    spans = tracer.spans
+    assert [s.index for s in spans] == list(range(len(spans)))
+    for span in spans:
+        if span.parent != -1:
+            assert spans[span.parent].index < span.index
+            assert span.depth == spans[span.parent].depth + 1
+    (scatter,) = [s for s in spans if s.name == "serve.scatter"]
+    batches = [s for s in spans if s.name == "knn.batch"]
+    assert sorted(s.attributes["worker"] for s in batches) == [0, 1]
+    for span in batches:
+        assert span.parent == scatter.index
+    # Every span the workers shipped back (the batch spans and all their
+    # descendants) joined the router's trace.
+    batch_indexes = {s.index for s in batches}
+    shipped = []
+    for span in spans:
+        ancestor = span
+        while ancestor.parent not in (-1, scatter.index):
+            ancestor = spans[ancestor.parent]
+        if ancestor.index in batch_indexes:
+            shipped.append(span)
+    assert len(shipped) > len(batches)
+    assert {s.attributes["trace_id"] for s in shipped} == {tracer.trace_id}
     names = {r["name"] for r in tracer.metrics.as_records()}
     assert "knn.batch_qps" in names
