@@ -16,7 +16,6 @@ axis system; outliers use full-dimensional L2.
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
@@ -170,7 +169,7 @@ class BatchKNNResult:
         )
 
 
-class VectorIndex(ABC):
+class VectorIndex:
     """A KNN index over a reduced dataset, with its own simulated storage."""
 
     #: Scheme name used in experiment tables ("iDistance", "gLDR", "SeqScan").
@@ -193,7 +192,10 @@ class VectorIndex(ABC):
         self.store = factory(self.counters)
         self.pool = BufferPool(self.store, pool_pages, self.counters)
 
-    @abstractmethod
+    #: Whether exact :meth:`knn` feeds an enabled tracer's
+    #: ``knn.candidates_per_query`` / ``knn.pages_per_query`` histograms.
+    _query_histograms = False
+
     def knn(
         self,
         query: np.ndarray,
@@ -213,8 +215,48 @@ class VectorIndex(ABC):
         :meth:`attach_encoder`): ADC-scan the PQ codes for a candidate
         set of ``rerank_depth * k`` rids, then rerank exactly.
         ``rerank_depth`` overrides the encoder's default scan depth and
-        is only meaningful in approximate mode.
+        is only meaningful in approximate mode.  Either mode runs under
+        the same ``knn.query`` measurement envelope (spans, flight
+        records and the :class:`QueryStats` protocol).
         """
+        if mode not in ("exact", "approx"):
+            raise ValueError(
+                f"unknown search mode {mode!r}; expected 'exact' or 'approx'"
+            )
+        layer = getattr(self, "encoder", None)
+        if mode == "approx" and layer is None:
+            raise RuntimeError(
+                "no encoder attached: call attach_encoder() before "
+                "mode='approx' queries"
+            )
+        query = self._check_query(query)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        tracer = ensure_tracer(tracer)
+        if mode == "approx":
+            (ids, distances), stats = self._measured(
+                layer.search, self, query, k, rerank_depth, tracer,
+                tracer=tracer, k=k,
+            )
+        else:
+            (ids, distances), stats = self._measured(
+                self._search, query, k, tracer, tracer=tracer, k=k
+            )
+            if tracer.enabled and self._query_histograms:
+                tracer.histogram("knn.candidates_per_query").observe(
+                    stats.distance_computations
+                )
+                tracer.histogram("knn.pages_per_query").observe(
+                    stats.page_reads
+                )
+        return KNNResult(ids=ids, distances=distances, stats=stats)
+
+    def _search(
+        self, query: np.ndarray, k: int, tracer: Tracer
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The scheme's exact search for one validated query: ``(ids,
+        distances)``, nearest first, with every page read and distance
+        charged to the index's counters.  Schemes override."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -234,13 +276,14 @@ class VectorIndex(ABC):
 
         Results (ids, distances) and per-query cost accounting are
         bit-identical to a per-query :meth:`knn` loop under the same cache
-        protocol.  A scheme either overrides :meth:`_knn_batch` with a
-        vectorized engine (iDistance's shared scan, which amortizes
-        per-query Python and small-kernel overhead across the workload) or
-        is answered by that loop (:meth:`_knn_batch_loop`; SeqScan and
-        gLDR).  ``cold_cache=False`` always runs the loop: warm-cache
-        accounting depends on the exact cross-query page interleaving,
-        which a shared scan would change.
+        protocol.  A scheme either overrides :meth:`_knn_batch` (iDistance,
+        whose one shared-scan engine also answers :meth:`knn` on a single
+        row; the batch entry amortizes per-query Python and small-kernel
+        overhead across the workload and defers I/O charging to a cold
+        LRU replay) or is answered by that loop (:meth:`_knn_batch_loop`;
+        SeqScan and gLDR).  ``cold_cache=False`` always runs the loop:
+        warm-cache accounting depends on the exact cross-query page
+        interleaving, which a shared scan would change.
 
         The whole call runs under one ``knn.batch`` span; a real ``tracer``
         also gets a ``knn.batch_qps`` gauge.  The index's own counters are
@@ -372,10 +415,12 @@ class VectorIndex(ABC):
         k: int,
         tracer: Tracer,
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-        """Vectorized batch kernel (cold-cache accounting); subclasses
-        override.  Must return ``(Q, k)`` ids/distances plus per-query stats
-        whose page/distance/key counts equal a cold per-query :meth:`knn`
-        loop bit-for-bit (``cpu_seconds`` may be 0 — the caller apportions
+        """Vectorized cold-cache batch entry; subclasses override, usually
+        by running the same engine as :meth:`_search` with I/O charged to
+        per-query ledgers instead of the shared pool.  Must return
+        ``(Q, k)`` ids/distances plus per-query stats whose
+        page/distance/key counts equal a cold per-query :meth:`knn` loop
+        bit-for-bit (``cpu_seconds`` may be 0 — the caller apportions
         wall time).  The base implementation is never called (the caller
         routes to :meth:`_knn_batch_loop` when this is not overridden).
         """
@@ -446,45 +491,6 @@ class VectorIndex(ABC):
             self, config=config, seed=seed, tracer=tracer
         )
         return self.encoder
-
-    def _approx_knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Optional[Tracer] = None,
-        mode: str = "approx",
-        rerank_depth: Optional[int] = None,
-    ) -> KNNResult:
-        """Shared ``mode="approx"`` entry point behind every scheme's
-        :meth:`knn`: validate, then run the attached encoder's
-        scan-then-rerank search under the standard ``knn.query``
-        measurement envelope (same spans, flight records, and
-        :class:`QueryStats` protocol as exact search)."""
-        if mode != "approx":
-            raise ValueError(
-                f"unknown search mode {mode!r}; expected 'exact' or 'approx'"
-            )
-        layer = getattr(self, "encoder", None)
-        if layer is None:
-            raise RuntimeError(
-                "no encoder attached: call attach_encoder() before "
-                "mode='approx' queries"
-            )
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        query = self._check_query(query)
-        tracer = ensure_tracer(tracer)
-        (ids, distances), stats = self._measured(
-            layer.search,
-            self,
-            query,
-            k,
-            rerank_depth,
-            tracer,
-            tracer=tracer,
-            k=k,
-        )
-        return KNNResult(ids=ids, distances=distances, stats=stats)
 
     def _approx_rerank_pages(self, rids: np.ndarray) -> np.ndarray:
         """Data page id holding each bulk rid's frame vector, for the

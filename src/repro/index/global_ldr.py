@@ -18,14 +18,14 @@ difference is purely structural.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
+from ..obs.tracer import Tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors, rows_per_page
-from .base import DEFAULT_POOL_PAGES, KNNResult, VectorIndex
+from .base import DEFAULT_POOL_PAGES, VectorIndex
 from .dynamic import DeltaStore, route_point
 from .hybrid_tree import HybridTree
 
@@ -101,7 +101,8 @@ class GlobalLDRIndex(VectorIndex):
         """Insert a point into the index's delta store, routed like the
         paper's dynamic insert (nearest subspace within β, else outlier).
         The delta rides alongside the Hybrid trees and is scanned by every
-        query.  Returns the subspace index used (-1 for outlier/full-d)."""
+        query.  Returns the subspace index used (-1 for outlier/full-d).
+        Raises ``ValueError`` for a rid that is live or was deleted."""
         point = self._prepare_point(point)
         rid = int(rid)
         if rid in self._tombstones:
@@ -109,6 +110,8 @@ class GlobalLDRIndex(VectorIndex):
                 f"rid {rid} was deleted from this index; deleted ids "
                 "cannot be reused before a rebuild"
             )
+        if 0 <= rid < self.reduced.n_points or rid in self.delta.rids:
+            raise ValueError(f"rid {rid} is already live in this index")
         sidx, vector, residual = route_point(self.reduced, point, beta)
         self._note_routed_insert(sidx, residual)
         with self._wal_txn("insert") as txn:
@@ -155,33 +158,11 @@ class GlobalLDRIndex(VectorIndex):
         else:
             raise ValueError(f"unknown recovery meta kind {kind!r}")
 
-    def knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Optional[Tracer] = None,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
-    ) -> KNNResult:
-        if mode != "exact":
-            return self._approx_knn(
-                query, k, tracer=tracer, mode=mode,
-                rerank_depth=rerank_depth,
-            )
-        query = self._check_query(query)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        tracer = ensure_tracer(tracer)
-        (ids, distances), stats = self._measured(
-            self._search, query, k, tracer, tracer=tracer, k=k
-        )
-        return KNNResult(ids=ids, distances=distances, stats=stats)
-
     def _search(
         self,
         query: np.ndarray,
         k: int,
-        tracer: Tracer = NULL_TRACER,
+        tracer: Tracer,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Best-first search: outliers and the insert delta first (exact
         distances tighten the global bound), then one frontier across

@@ -39,10 +39,19 @@ the original space is entirely the reduction's, which is what precision
 measures).
 
 I/O model: the B+-tree stores (key, rid) entries; the reduced vectors are
-packed, in key order, into per-partition data pages read through the buffer
-pool when a candidate is scored.  Key order means an expanding scan touches
-a contiguous run of data pages — the same locality as storing vectors in
-the leaves, with the accounting kept explicit.
+packed, in key order, into per-partition data pages read when a candidate
+is scored.  Key order means an expanding scan touches a contiguous run of
+data pages — the same locality as storing vectors in the leaves, with the
+accounting kept explicit.
+
+One engine, :meth:`ExtendedIDistance._scan`, runs this search for a block
+of queries at once; the entry point only picks how it charges I/O.
+:meth:`~repro.index.base.VectorIndex.knn` runs it on one row and charges
+live (:class:`_PoolCharge`: pages through the buffer pool, counts into the
+index's counters, under ``knn.expand_radius`` / ``knn.probe_partition``
+spans).  A cold :meth:`~repro.index.base.VectorIndex.knn_batch` runs it on
+every row and records each query's reads in a :class:`_QueryLedger`,
+settled afterwards against a cold LRU of the pool's capacity.
 """
 
 from __future__ import annotations
@@ -60,12 +69,12 @@ from ..linalg.backend import (
     flat_l2,
     multi_arange,
 )
-from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
+from ..obs.tracer import NULL_TRACER, Tracer
 from ..reduction.base import ReducedDataset
 from ..btree.tree import BPlusTree
 from ..storage.metrics import CostSnapshot
 from ..storage.pager import PAGE_SIZE, vector_bytes
-from .base import DEFAULT_POOL_PAGES, KNNResult, QueryStats, VectorIndex
+from .base import DEFAULT_POOL_PAGES, QueryStats, VectorIndex
 
 __all__ = ["ExtendedIDistance"]
 
@@ -91,6 +100,9 @@ class _Partition:
         self.delta_vectors: List[np.ndarray] = []
         self.delta_rids: List[int] = []
         self.delta_pages: List[int] = []
+        # Deleted bulk entries by key-ordered position: scans drop them
+        # with one mask lookup instead of a rid-set membership test.
+        self.dead = np.zeros(self.rids.size, dtype=bool)
 
     @property
     def size(self) -> int:
@@ -102,16 +114,6 @@ class _Partition:
         return np.asarray(query, dtype=np.float64)
 
 
-class _DirectionalScan:
-    """One direction of a partition's expanding scan (entry positions in
-    the partition's sorted arrays, advancing by +1 or -1)."""
-
-    def __init__(self, position: int, step: int) -> None:
-        self.position = position
-        self.step = step
-        self.done = False
-
-
 #: Segment length at or above which the batch scan scores a segment on a
 #: contiguous array view instead of routing it through the shared gather
 #: kernel — long runs pay more for the gather copy than for one numpy call.
@@ -119,14 +121,14 @@ _BATCH_SEG_VIEW_MIN = 256
 
 
 class _QueryLedger:
-    """Per-query cost ledger for the batch engine.
+    """Deferred cost charging, for the cold-cache :meth:`knn_batch`.
 
-    The batch engine never routes I/O through the shared buffer pool —
+    A shared scan never routes I/O through the shared buffer pool —
     interleaving queries would corrupt each query's cold-cache accounting.
-    Instead every page read the sequential cold query would issue is
-    recorded here in program order as an inclusive page-id range, and
-    :meth:`settle` replays the expanded sequence against an LRU of the
-    pool's capacity to recover the exact logical/physical read counts.
+    Instead every page read the query issues is recorded here in program
+    order as an inclusive page-id range, and :func:`_settle_ledgers`
+    replays the expanded sequence against an LRU of the pool's capacity to
+    recover the exact logical/physical read counts.
     """
 
     __slots__ = (
@@ -149,14 +151,18 @@ class _QueryLedger:
         self.page_lo.append(lo)
         self.page_hi.append(hi)
 
-    def settle(self, capacity: int) -> Tuple[int, int]:
-        """``(logical_reads, physical_reads)`` under a cold LRU pool."""
-        if not self.page_lo:
-            return 0, 0
-        sequence = self.page_sequence()
-        return int(sequence.size), cold_lru_physical_reads(
-            sequence, capacity
-        )
+    def descend(self, tree: BPlusTree, key: float) -> None:
+        """Record a root-to-leaf descent toward ``key``."""
+        pages, comparisons = tree.descend_path(key)
+        for page in pages:
+            self.read_range(page, page)
+        self.key_comparisons += comparisons
+
+    def count(self, keys: int, distances: int, width: int) -> None:
+        """Record key comparisons and ``width``-wide distance evaluations."""
+        self.key_comparisons += keys
+        self.distance_computations += distances
+        self.distance_flops += distances * width
 
     def page_sequence(self) -> np.ndarray:
         """The full page-read sequence, ranges expanded, in read order."""
@@ -166,12 +172,41 @@ class _QueryLedger:
         )
 
 
+class _PoolCharge:
+    """Live cost charging, for one :meth:`knn` query.
+
+    Same interface as :class:`_QueryLedger`, but every page read goes
+    through the index's buffer pool as it happens (warm-cache hits, fault
+    retries and the pool's tracer counters included) and every count
+    lands in the index's counters, so each enclosing ``knn.*`` span sees
+    exactly the cost paid inside it.
+    """
+
+    __slots__ = ("pool", "counters")
+
+    def __init__(self, pool, counters) -> None:
+        self.pool = pool
+        self.counters = counters
+
+    def read_range(self, lo: int, hi: int) -> None:
+        read = self.pool.read
+        for page in range(lo, hi + 1):
+            read(page)
+
+    def descend(self, tree: BPlusTree, key: float) -> None:
+        tree._descend(key)
+
+    def count(self, keys: int, distances: int, width: int) -> None:
+        self.counters.count_key_comparison(keys)
+        self.counters.count_distance(distances, dims=width)
+
+
 def _settle_ledgers(
     ledgers: List["_QueryLedger"], capacity: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(logical, physical)`` read counts for every ledger at once.
 
-    Equivalent to calling :meth:`_QueryLedger.settle` per ledger, but the
+    Equivalent to an LRU replay of each ledger's page sequence, but the
     common case — every query's working set fits the pool, so physical
     reads = distinct pages — is answered with ONE combined unique over
     all queries (page ids offset into disjoint per-query blocks).  Only
@@ -262,6 +297,16 @@ class ExtendedIDistance(VectorIndex):
         self._rank_base = np.concatenate(
             [[0], np.cumsum(sizes)]
         ).astype(np.int64)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Snapshots saved before partitions carried a dead mask: rebuild
+        # it from the tombstone set.
+        if self.partitions and not hasattr(self.partitions[0], "dead"):
+            for partition in self.partitions:
+                partition.dead = np.zeros(partition.rids.size, dtype=bool)
+            for rid in list(getattr(self, "_tombstones", ())):
+                self._tombstone(rid)
 
     # ------------------------------------------------------------------
     # construction
@@ -361,8 +406,8 @@ class ExtendedIDistance(VectorIndex):
 
         Raises ``ValueError`` if the point's key offset would not fit the
         partition's key range (the stretch constant ``c`` is fixed at
-        build time) or if no outlier partition exists to absorb a
-        non-conforming point.
+        build time), if no outlier partition exists to absorb a
+        non-conforming point, or if ``rid`` is live or was deleted.
         """
         point = self._prepare_point(point)
         best: Optional[_Partition] = None
@@ -396,11 +441,16 @@ class ExtendedIDistance(VectorIndex):
                 "its key space"
             )
         rid = int(rid)
-        if rid in getattr(self, "_tombstones", ()):
+        if rid in self._tombstones:
             raise ValueError(
                 f"rid {rid} was deleted from this index; deleted ids "
                 "cannot be reused before a rebuild"
             )
+        if rid in self._delta_location or (
+            0 <= rid < self._rid_location.shape[0]
+            and self._rid_location[rid, 0] >= 0
+        ):
+            raise ValueError(f"rid {rid} is already live in this index")
         self._note_routed_insert(
             best.index if best.subspace is not None else -1, best_dist
         )
@@ -464,12 +514,21 @@ class ExtendedIDistance(VectorIndex):
             offset = float(np.linalg.norm(vector - partition.centroid))
         with self._wal_txn("delete") as txn:
             self.tree.delete(part_idx * self.c + offset, rid)
-            self._tombstones.add(rid)
+            self._tombstone(rid)
             if txn is not None:
                 txn.set_meta(
                     {"kind": "delete", "rid": rid, **self._tree_meta()}
                 )
         return part_idx
+
+    def _tombstone(self, rid: int) -> None:
+        """Record ``rid`` as deleted: in the tombstone set, and for a bulk
+        rid also in its partition's ``dead`` mask, which scans filter by."""
+        self._tombstones.add(rid)
+        if 0 <= rid < self._rid_location.shape[0]:
+            part_idx, position = self._rid_location[rid].tolist()
+            if part_idx >= 0:
+                self.partitions[part_idx].dead[position] = True
 
     def _tree_meta(self) -> dict:
         """The B+-tree's in-memory scalars, for a commit after-image
@@ -499,7 +558,7 @@ class ExtendedIDistance(VectorIndex):
             )
             self.n_inserted = getattr(self, "n_inserted", 0) + 1
         elif kind == "delete":
-            self._tombstones.add(int(meta["rid"]))
+            self._tombstone(int(meta["rid"]))
         else:
             raise ValueError(f"unknown recovery meta kind {kind!r}")
         self.tree.root_page = meta["tree_root"]
@@ -550,295 +609,36 @@ class ExtendedIDistance(VectorIndex):
         return pages
 
     # ------------------------------------------------------------------
-    # search
+    # search: one shared-scan engine, two ways of charging its I/O
     # ------------------------------------------------------------------
 
-    def knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Optional[Tracer] = None,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
-    ) -> KNNResult:
-        if mode != "exact":
-            return self._approx_knn(
-                query, k, tracer=tracer, mode=mode,
-                rerank_depth=rerank_depth,
-            )
-        query = self._check_query(query)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        tracer = ensure_tracer(tracer)
-        (ids, distances), stats = self._measured(
-            self._knn_search, query, k, tracer, tracer=tracer, k=k
-        )
-        if tracer.enabled:
-            tracer.histogram("knn.candidates_per_query").observe(
-                stats.distance_computations
-            )
-            tracer.histogram("knn.pages_per_query").observe(
-                stats.page_reads
-            )
-        return KNNResult(ids=ids, distances=distances, stats=stats)
+    _query_histograms = True
 
-    def _knn_search(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Tracer = NULL_TRACER,
+    def _search(
+        self, query: np.ndarray, k: int, tracer: Tracer
     ) -> Tuple[np.ndarray, np.ndarray]:
-        k = min(k, self.live_count)
-        if k <= 0:  # every point deleted — nothing to return
+        """:meth:`knn`: the shared scan on one row, charged live."""
+        k_eff = min(k, self.live_count)
+        if k_eff <= 0:  # every point deleted — nothing to return
             return (
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
             )
-        # Per-partition query geometry.
-        q_proj: List[np.ndarray] = []
-        q_dist: List[float] = []
-        for partition in self.partitions:
-            proj = partition.project_query(query)
-            q_proj.append(proj)
-            q_dist.append(float(np.linalg.norm(proj - partition.centroid)))
-
-        heap: List[Tuple[float, int]] = []  # max-heap via negated distance
-
-        def kth_best() -> float:
-            return -heap[0][0] if len(heap) == k else np.inf
-
-        def offer(dist: float, rid: int) -> None:
-            if len(heap) < k:
-                heapq.heappush(heap, (-dist, rid))
-            elif dist < -heap[0][0]:
-                heapq.heapreplace(heap, (-dist, rid))
-
-        scans: List[Optional[Tuple[_DirectionalScan, _DirectionalScan]]] = [
-            None
-        ] * len(self.partitions)
-        max_needed = max(
-            (
-                q_dist[p.index] + p.max_radius
-                for p in self.partitions
-                if p.size
-            ),
-            default=0.0,
-        )
-
-        radius = self.radius_step
-        expansions = 0
-        while True:
-            expansions += 1
-            # One span per radius expansion: its cost delta is exactly the
-            # pages/distances this ΔR step paid across every partition.
-            with tracer.span(
-                "knn.expand_radius",
-                counters=self.counters,
-                radius=radius,
-                expansion=expansions,
-            ) as expand_span:
-                for partition in self.partitions:
-                    if partition.size == 0:
-                        continue
-                    with tracer.span(
-                        "knn.probe_partition",
-                        counters=self.counters,
-                        partition=partition.index,
-                        outliers=partition.subspace is None,
-                    ):
-                        self._scan_partition(
-                            partition,
-                            q_proj[partition.index],
-                            q_dist[partition.index],
-                            radius,
-                            scans,
-                            offer,
-                            kth_best,
-                        )
-                if tracer.enabled:
-                    expand_span.set(
-                        heap_size=len(heap), kth_best=kth_best()
-                    )
-            if len(heap) == k and kth_best() <= radius:
-                break
-            if radius > max_needed:
-                break
-            radius += self.radius_step
-        if tracer.enabled:
-            tracer.counter("knn.radius_expansions").inc(expansions)
-            tracer.histogram(
-                "knn.expansions_per_query", buckets=tuple(range(1, 65))
-            ).observe(expansions)
-
+        (heap,), _ = self._scan(query[None], k_eff, tracer, live=True)
         ordered = sorted((-d, rid) for d, rid in heap)
-        distances = np.array([d for d, _ in ordered])
         ids = np.array([rid for _, rid in ordered], dtype=np.int64)
+        distances = np.array([d for d, _ in ordered], dtype=np.float64)
         return ids, distances
-
-    def _scan_partition(
-        self,
-        partition: _Partition,
-        q_proj: np.ndarray,
-        d_i: float,
-        radius: float,
-        scans: List[Optional[Tuple[_DirectionalScan, _DirectionalScan]]],
-        offer,
-        kth_best,
-    ) -> None:
-        """Advance the partition's two directional scans to cover the key
-        interval ``[d_i - radius, d_i + radius]``."""
-        idx = partition.index
-        if scans[idx] is None:
-            # Case 3: no intersection yet — the sphere has not reached the
-            # partition's annulus.  Do not open cursors.
-            if d_i - radius > partition.max_radius:
-                return
-            if d_i + radius < partition.min_radius:
-                return
-            # First contact: position both directions at the entry nearest
-            # the query's own offset (clamped into the annulus, which also
-            # realizes cases 1, 2 and the interior case).  The tree descent
-            # to that leaf is real I/O: internal pages + the landing leaf.
-            seek = min(max(d_i, partition.min_radius), partition.max_radius)
-            self.tree._descend(idx * self.c + seek)
-            pos = int(np.searchsorted(partition.offsets, seek))
-            scans[idx] = (
-                _DirectionalScan(pos - 1, -1),  # inward/leftward
-                _DirectionalScan(pos, +1),  # outward/rightward
-            )
-            # Dynamically inserted entries (the delta store) are few; score
-            # them all on first contact, charging their pages.
-            if partition.delta_rids:
-                for page in partition.delta_pages:
-                    self.pool.read(page)
-                block = np.vstack(partition.delta_vectors)
-                dists = np.linalg.norm(block - q_proj, axis=1)
-                self.counters.count_distance(
-                    block.shape[0], dims=max(1, block.shape[1])
-                )
-                tombs = getattr(self, "_tombstones", ())
-                for dist, rid in zip(dists, partition.delta_rids):
-                    if rid in tombs:
-                        continue
-                    offer(float(dist), int(rid))
-        inward, outward = scans[idx]
-        bound = min(radius, kth_best())
-        self._advance(partition, q_proj, d_i, bound, inward, offer, kth_best)
-        self._advance(partition, q_proj, d_i, bound, outward, offer, kth_best)
-
-    def _advance(
-        self,
-        partition: _Partition,
-        q_proj: np.ndarray,
-        d_i: float,
-        bound: float,
-        scan: _DirectionalScan,
-        offer,
-        kth_best,
-    ) -> None:
-        """Consume, in one vectorized block, every not-yet-visited entry in
-        this direction whose key offset is within ``bound`` of ``d_i``.
-
-        The offsets are sorted, so the block boundary is a binary search
-        (one key comparison charged per entry, as a literal scan would do);
-        the block's leaf pages and data pages are read through the buffer
-        pool, and its vectors are scored in a single numpy call.
-        """
-        if scan.done:
-            return
-        offsets = partition.offsets
-        if scan.step > 0:
-            lo = scan.position
-            if lo >= offsets.size:
-                scan.done = True
-                return
-            hi = int(np.searchsorted(offsets, d_i + bound, side="right"))
-            if hi <= lo:
-                return  # resumes if the bound grows next iteration
-            positions = np.arange(lo, hi)
-            scan.position = hi
-            if hi >= offsets.size:
-                scan.done = True
-        else:
-            hi = scan.position  # inclusive
-            if hi < 0:
-                scan.done = True
-                return
-            lo = int(np.searchsorted(offsets, d_i - bound, side="left"))
-            if lo > hi:
-                return
-            positions = np.arange(lo, hi + 1)
-            scan.position = lo - 1
-            if lo == 0:
-                scan.done = True
-
-        # I/O: the B+-tree leaf pages covering these entries, then the data
-        # pages holding their reduced vectors.  Both are contiguous runs
-        # (entries are rank-ordered; partition data pages were allocated
-        # consecutively), so the distinct pages are just the endpoints'
-        # range.  The LRU pool dedups pages revisited across blocks.
-        rank_lo = int(self._rank_base[partition.index]) + int(positions[0])
-        rank_hi = int(self._rank_base[partition.index]) + int(positions[-1])
-        for leaf_idx in range(
-            rank_lo // self._leaf_fill, rank_hi // self._leaf_fill + 1
-        ):
-            self.pool.read(int(self._leaf_pages[leaf_idx]))
-        for page in range(
-            int(partition.page_of_entry[positions[0]]),
-            int(partition.page_of_entry[positions[-1]]) + 1,
-        ):
-            self.pool.read(page)
-
-        self.counters.count_key_comparison(positions.size)
-        block = partition.vectors[positions]
-        dists = np.linalg.norm(block - q_proj, axis=1)
-        self.counters.count_distance(
-            positions.size, dims=max(1, block.shape[1])
-        )
-        rids = partition.rids[positions]
-        tombs = self._tombstone_array()
-        if tombs.size:
-            alive = ~np.isin(rids, tombs)
-            dists, rids = dists[alive], rids[alive]
-        # Pre-filter: a candidate at or beyond the current K-th best can
-        # never enter the heap (the bound only tightens).
-        current = kth_best()
-        if np.isfinite(current):
-            keep = dists < current
-            dists, rids = dists[keep], rids[keep]
-        for dist, rid in zip(dists, rids):
-            offer(float(dist), int(rid))
-
-    # ------------------------------------------------------------------
-    # batched execution
-    # ------------------------------------------------------------------
 
     def _knn_batch(
         self, queries: np.ndarray, k: int, tracer: Tracer
     ) -> Tuple[np.ndarray, np.ndarray, List[QueryStats]]:
-        """Shared-scan batch engine, bit-identical to a cold :meth:`knn` loop.
-
-        Every query expands its search radius in lockstep.  Per partition
-        and radius step, the still-active queries' directional block
-        boundaries come from *vectorized* searchsorted calls (same float
-        comparisons as the sequential binary searches), and all of their
-        not-yet-visited candidates are scored by ONE gather kernel —
-        ``vectors[flat_positions] - q_proj[query_of_entry]`` reduced over
-        the last axis — whose entries are bit-identical to the sequential
-        per-block norms (see :mod:`repro.linalg.kernels`).  Only top-K heap
-        maintenance stays per query, consuming each query's segments in the
-        sequential order (inward then outward, ascending positions, with
-        the k-th-best pre-filter refreshed between segments) so heap tie
-        behavior is preserved exactly.
-
-        I/O is not replayed through the shared buffer pool — interleaving
-        queries would corrupt the per-query cold-cache page accounting.
-        Each query instead logs its page-read sequence in a
-        :class:`_QueryLedger` (tree descents replayed via
-        :meth:`~repro.btree.tree.BPlusTree.descend_path`) and settles it
-        against an exact LRU replay at the end; the batch totals are then
-        folded into the index's own counters.
-        """
+        """Cold-cache :meth:`knn_batch`: the shared scan over every row,
+        each query's I/O recorded in a :class:`_QueryLedger` and settled
+        against an exact LRU replay at the end (tree descents replayed via
+        :meth:`~repro.btree.tree.BPlusTree.descend_path`), so per-query
+        stats equal a cold :meth:`knn` loop; the batch totals are then
+        folded into the index's own counters."""
         n_queries = queries.shape[0]
         if n_queries == 0:
             return (
@@ -854,9 +654,88 @@ class ExtendedIDistance(VectorIndex):
                 np.empty((n_queries, 0), dtype=np.float64),
                 [zero] * n_queries,
             )
+        heaps, ledgers = self._scan(queries, k_eff, tracer, live=False)
+
+        # Settle: per-query LRU replay of the recorded page sequences,
+        # per-query result ordering, and one fold of the batch totals into
+        # the index's counters.
+        stats: List[QueryStats] = []
+        ids = np.empty((n_queries, k_eff), dtype=np.int64)
+        distances = np.empty((n_queries, k_eff), dtype=np.float64)
+        with tracer.span("knn.batch.settle", n_queries=n_queries):
+            logical, physical = _settle_ledgers(
+                ledgers, self.pool.capacity_pages
+            )
+            for qi in range(n_queries):
+                led = ledgers[qi]
+                ordered = sorted((-d, rid) for d, rid in heaps[qi])
+                ids[qi] = [rid for _, rid in ordered]
+                distances[qi] = [d for d, _ in ordered]
+                stats.append(
+                    QueryStats(
+                        page_reads=int(physical[qi]),
+                        distance_computations=led.distance_computations,
+                        distance_flops=led.distance_flops,
+                        key_comparisons=led.key_comparisons,
+                        cpu_seconds=0.0,
+                    )
+                )
+        self.counters.merge(
+            CostSnapshot(
+                logical_reads=int(logical.sum()),
+                physical_reads=int(physical.sum()),
+                key_comparisons=sum(
+                    led.key_comparisons for led in ledgers
+                ),
+                distance_computations=sum(
+                    led.distance_computations for led in ledgers
+                ),
+                distance_flops=sum(
+                    led.distance_flops for led in ledgers
+                ),
+            )
+        )
+        return ids, distances, stats
+
+    def _scan(
+        self,
+        queries: np.ndarray,
+        k_eff: int,
+        tracer: Tracer,
+        live: bool,
+    ) -> Tuple[List[List[Tuple[float, int]]], list]:
+        """The expanding-radius KNN search of every row of ``queries``.
+
+        Every query expands its search radius in lockstep.  Per partition
+        and radius step, the still-active queries' directional block
+        boundaries come from *vectorized* searchsorted calls, and all of
+        their not-yet-visited candidates are scored by ONE gather kernel —
+        ``vectors[flat_positions] - q_proj[query_of_entry]`` reduced over
+        the last axis — whose entries are bit-identical to per-block norms
+        (see :mod:`repro.linalg.kernels`).  Only top-K heap maintenance
+        stays per query, consuming each query's segments in scan order
+        (inward then outward, ascending positions, with the k-th-best
+        pre-filter refreshed between segments), so a query's answer never
+        depends on which other rows share the scan.
+
+        ``live`` picks how cost is charged.  ``True`` (one row, from
+        :meth:`knn`): through the buffer pool and counters as each probe
+        runs, under ``knn.expand_radius`` / ``knn.probe_partition`` spans.
+        ``False`` (cold :meth:`knn_batch`): into one :class:`_QueryLedger`
+        per row, under ``knn.batch.*`` spans; the caller settles them.
+
+        Returns each query's heap of ``(-distance, rid)`` (exact content,
+        not necessarily heap-ordered) and the per-query chargers.
+        """
+        n_queries = queries.shape[0]
         n_parts = len(self.partitions)
-        tombs = self._tombstone_array()
-        tomb_set = getattr(self, "_tombstones", ())
+        tomb_set = self._tombstones
+        any_dead = bool(tomb_set)
+        charges = (
+            [_PoolCharge(self.pool, self.counters)]
+            if live
+            else [_QueryLedger() for _ in range(n_queries)]
+        )
 
         # Per-partition query geometry.  Projections stay per-query gemv
         # calls (a stacked gemm is NOT bit-identical to gemv rows — see
@@ -864,7 +743,7 @@ class ExtendedIDistance(VectorIndex):
         # partition so the scan kernels can index rows by query.
         q_proj: List[np.ndarray] = []
         q_dist = np.empty((n_parts, n_queries), dtype=np.float64)
-        with tracer.span(
+        with (NULL_TRACER if live else tracer).span(
             "knn.batch.project_queries",
             n_queries=n_queries,
             partitions=n_parts,
@@ -895,19 +774,15 @@ class ExtendedIDistance(VectorIndex):
                         row[i] = math.sqrt(float(np.dot(diff, diff)))
                 q_proj.append(block)
 
-        # Frozen copies of each partition's delta store (dynamic inserts).
-        delta_blocks: List[Optional[np.ndarray]] = [
-            np.vstack(p.delta_vectors) if p.delta_rids else None
-            for p in self.partitions
-        ]
+        # Each partition's delta store (dynamic inserts) is stacked once,
+        # when the first query reaches that partition.
+        delta_blocks: Dict[int, np.ndarray] = {}
 
-        sizes = np.array(
-            [p.size for p in self.partitions], dtype=np.int64
-        )
-        live = sizes > 0
-        if live.any():
-            radii = np.array([p.max_radius for p in self.partitions])
-            max_needed = (q_dist[live] + radii[live, None]).max(axis=0)
+        max_r = np.array([[p.max_radius] for p in self.partitions])
+        min_r = np.array([[p.min_radius] for p in self.partitions])
+        nonempty = np.array([p.size > 0 for p in self.partitions], bool)
+        if nonempty.any():
+            max_needed = (q_dist[nonempty] + max_r[nonempty]).max(axis=0)
         else:
             max_needed = np.zeros(n_queries)
 
@@ -927,11 +802,9 @@ class ExtendedIDistance(VectorIndex):
         contacted = np.zeros((n_parts, n_queries), dtype=bool)
         in_pos = np.zeros((n_parts, n_queries), dtype=np.int64)
         out_pos = np.zeros((n_parts, n_queries), dtype=np.int64)
-        ledgers = [_QueryLedger() for _ in range(n_queries)]
-        total_expansions = 0
 
         leaf_pages = self._leaf_pages
-        # Bulk-loaded leaves get consecutive page ids; record leaf runs as
+        # Bulk-loaded leaves get consecutive page ids; charge leaf runs as
         # ranges when that holds, else as per-leaf singletons.
         leaf_runs = leaf_pages.size <= 1 or bool(
             (np.diff(leaf_pages) == 1).all()
@@ -943,236 +816,51 @@ class ExtendedIDistance(VectorIndex):
             """Advance every active query's scan of one partition to cover
             the key interval ``[d_i - radius, d_i + radius]``."""
             p = partition.index
+            if not engaged[p]:
+                return
             offsets = partition.offsets
             bulk = offsets.size
             Qp = q_proj[p]
             width_charge = max(1, partition.vectors.shape[1])
 
-            # First contact per query: the annulus-intersection gate, the
-            # tree descent to the seek leaf, and the delta-store scoring —
-            # identical to the sequential scan's cursor opening.
-            fresh = act[~contacted[p, act]]
-            if fresh.size:
-                d_f = q_dist[p, fresh]
-                touch = (d_f - radius <= partition.max_radius) & (
-                    d_f + radius >= partition.min_radius
+            # First contact per query: descend the tree to the entry
+            # nearest the query's own offset (clamped into the annulus,
+            # which also realizes cases 1, 2 and the interior case) and
+            # score the (small) delta store whole.
+            for qi in act[touch[p]].tolist():
+                d_i = float(q_dist[p, qi])
+                charge = charges[qi]
+                seek = min(
+                    max(d_i, partition.min_radius),
+                    partition.max_radius,
                 )
-                for qi in fresh[touch].tolist():
-                    d_i = float(q_dist[p, qi])
-                    led = ledgers[qi]
-                    seek = min(
-                        max(d_i, partition.min_radius),
-                        partition.max_radius,
+                charge.descend(self.tree, p * self.c + seek)
+                pos = int(np.searchsorted(offsets, seek))
+                in_pos[p, qi] = pos - 1
+                out_pos[p, qi] = pos
+                contacted[p, qi] = True
+                if partition.delta_rids:
+                    for page in partition.delta_pages:
+                        charge.read_range(page, page)
+                    dblock = delta_blocks.get(p)
+                    if dblock is None:
+                        dblock = delta_blocks[p] = np.vstack(
+                            partition.delta_vectors
+                        )
+                    ddists = np.linalg.norm(dblock - Qp[qi], axis=1)
+                    charge.count(
+                        0, dblock.shape[0], max(1, dblock.shape[1])
                     )
-                    pages, comps = self.tree.descend_path(
-                        p * self.c + seek
-                    )
-                    for page in pages:
-                        led.read_range(page, page)
-                    led.key_comparisons += comps
-                    pos = int(np.searchsorted(offsets, seek))
-                    in_pos[p, qi] = pos - 1
-                    out_pos[p, qi] = pos
-                    contacted[p, qi] = True
-                    if partition.delta_rids:
-                        for page in partition.delta_pages:
-                            led.read_range(page, page)
-                        dblock = delta_blocks[p]
-                        ddists = np.linalg.norm(dblock - Qp[qi], axis=1)
-                        led.distance_computations += dblock.shape[0]
-                        led.distance_flops += dblock.shape[0] * max(
-                            1, dblock.shape[1]
-                        )
-                        heap = heaps[qi]
-                        if heap_lazy[qi]:
-                            heapq.heapify(heap)
-                            heap_lazy[qi] = 0
-                        heap_dist[qi] = None
-                        for dist, rid in zip(
-                            ddists.tolist(), partition.delta_rids
-                        ):
-                            if rid in tomb_set:
-                                continue
-                            if len(heap) < k_eff:
-                                heapq.heappush(heap, (-dist, rid))
-                            elif dist < -heap[0][0]:
-                                heapq.heapreplace(heap, (-dist, rid))
-                        kth[qi] = (
-                            -heap[0][0] if len(heap) == k_eff else np.inf
-                        )
-
-            sub = act[contacted[p, act]]
-            if sub.size == 0 or bulk == 0:
-                return
-            d_vec = q_dist[p, sub]
-            # Per-query search bound, then both directions' block
-            # boundaries, all in four vectorized searchsorted/compare ops.
-            # Position bookkeeping mirrors _advance exactly: an exhausted
-            # direction parks at -1 (inward) or bulk (outward).
-            bound = np.minimum(radius, kth[sub])
-            i_hi = in_pos[p, sub]  # inclusive
-            i_lo = np.searchsorted(offsets, d_vec - bound, side="left")
-            i_has = (i_hi >= 0) & (i_lo <= i_hi)
-            o_lo = out_pos[p, sub]
-            o_hi = np.searchsorted(offsets, d_vec + bound, side="right")
-            o_has = (o_lo < bulk) & (o_hi > o_lo)
-            if not (i_has.any() or o_has.any()):
-                return
-            in_start = np.where(i_has, i_lo, 0)
-            in_stop = np.where(i_has, i_hi + 1, 0)
-            out_start = np.where(o_has, o_lo, 0)
-            out_stop = np.where(o_has, o_hi, 0)
-            in_pos[p, sub[i_has]] = i_lo[i_has] - 1
-            out_pos[p, sub[o_has]] = o_hi[o_has]
-
-            # Interleave [inward, outward] segments per query.  Long
-            # segments are scored per segment on contiguous views (the
-            # very op the sequential scan runs — no gather copies);
-            # everything shorter is batched into ONE gather kernel so
-            # small per-query slabs don't pay numpy call overhead each.
-            starts = np.column_stack([in_start, out_start]).ravel()
-            stops = np.column_stack([in_stop, out_stop]).ravel()
-            lens = stops - starts
-            if not lens.any():
-                return
-            small = lens < _BATCH_SEG_VIEW_MIN
-            small_lens = np.where(small, lens, 0)
-            flat = multi_arange(starts, np.where(small, stops, starts))
-            if flat.size:
-                entry_q = np.repeat(np.repeat(sub, 2), small_lens)
-                dists_flat = flat_l2(
-                    partition.vectors, flat, Qp, entry_q
-                )
-                rids_flat = partition.rids[flat]
-            seg_start = np.concatenate(
-                [[0], np.cumsum(small_lens)[:-1]]
-            )
-            vectors = partition.vectors
-            rids_all = partition.rids
-            rank0 = int(self._rank_base[p])
-            page_of_entry = partition.page_of_entry
-
-            # Hoist all per-segment I/O-replay lookups out of the Python
-            # loop: leaf/data page bounds for every segment in four array
-            # ops, materialized as plain-int lists once.  Empty segments
-            # (stop == start) index position 0 / start harmlessly; the
-            # loop skips them before the values are used.
-            safe_hi = np.maximum(stops - 1, starts)
-            leaf_a_arr = (rank0 + starts) // fill
-            leaf_b_arr = (rank0 + safe_hi) // fill
-            if leaf_runs:
-                leaf_lo_list = leaf_pages[leaf_a_arr].tolist()
-                leaf_hi_list = leaf_pages[leaf_b_arr].tolist()
-            else:
-                leaf_a_list = leaf_a_arr.tolist()
-                leaf_b_list = leaf_b_arr.tolist()
-            pg_lo_list = page_of_entry[starts].tolist()
-            pg_hi_list = page_of_entry[safe_hi].tolist()
-            lens_list = lens.tolist()
-            starts_list = starts.tolist()
-            small_list = small.tolist()
-            seg_start_list = seg_start.tolist()
-            sub_list = sub.tolist()
-
-            per_q = lens[0::2] + lens[1::2]
-            for j in np.flatnonzero(per_q > 0).tolist():
-                qi = sub_list[j]
-                led = ledgers[qi]
-                heap = heaps[qi]
-                for seg in (2 * j, 2 * j + 1):
-                    ln = lens_list[seg]
-                    if ln == 0:
-                        continue
-                    # I/O replay: the leaf run covering the block's entry
-                    # ranks, then its contiguous data-page run.
-                    if leaf_runs:
-                        led.read_range(
-                            leaf_lo_list[seg], leaf_hi_list[seg]
-                        )
-                    else:
-                        for leaf_idx in range(
-                            leaf_a_list[seg], leaf_b_list[seg] + 1
-                        ):
-                            page = int(leaf_pages[leaf_idx])
-                            led.read_range(page, page)
-                    led.read_range(pg_lo_list[seg], pg_hi_list[seg])
-                    led.key_comparisons += ln
-                    led.distance_computations += ln
-                    led.distance_flops += ln * width_charge
-                    if small_list[seg]:
-                        s0 = seg_start_list[seg]
-                        seg_d = dists_flat[s0 : s0 + ln]
-                        seg_r = rids_flat[s0 : s0 + ln]
-                    else:
-                        lo_pos = starts_list[seg]
-                        # Inline norm: np.linalg.norm(diff, axis=1) IS
-                        # sqrt(add.reduce((x.conj()*x).real, axis)) —
-                        # same multiplies, same pairwise reduction, same
-                        # sqrt — minus the dispatch overhead per call.
-                        # In-place squaring/sqrt reuse the temporaries;
-                        # the values are the same ops on the same bits.
-                        diff = vectors[lo_pos : lo_pos + ln] - Qp[qi]
-                        np.multiply(diff, diff, out=diff)
-                        seg_d = np.add.reduce(diff, axis=1)
-                        np.sqrt(seg_d, out=seg_d)
-                        seg_r = rids_all[lo_pos : lo_pos + ln]
-                    if tombs.size:
-                        alive = ~np.isin(seg_r, tombs)
-                        seg_d = seg_d[alive]
-                        seg_r = seg_r[alive]
-                    # kth[qi] is maintained at every heap mutation, so it
-                    # IS the sequential path's "current k-th best" here.
-                    current = kth[qi]
-                    if current != np.inf:
-                        keep = seg_d < current
-                        seg_d = seg_d[keep]
-                        seg_r = seg_r[keep]
-                    if seg_d.size >= 48:
-                        # Vectorized top-K merge.  Heap behavior depends
-                        # only on heap *content* (heapq always pops the
-                        # minimum tuple), and streaming offers with a
-                        # strict < keep exactly the k smallest of
-                        # {heap ∪ segment} whenever the k-th smallest
-                        # distance is unique in that union; only a tie
-                        # at the selection boundary is order-dependent,
-                        # and then we fall back to the literal offer
-                        # loop.  Either way the resulting content — and
-                        # so every later comparison — is bit-identical.
-                        inc = heap_dist[qi]
-                        if inc is None:
-                            inc = np.array(
-                                [-entry[0] for entry in heap],
-                                dtype=np.float64,
-                            )
-                            heap_dist[qi] = inc
-                        union_d = np.concatenate([inc, seg_d])
-                        if union_d.size > k_eff:
-                            top = np.argpartition(union_d, k_eff - 1)[
-                                :k_eff
-                            ]
-                            boundary = union_d[top].max()
-                            if int((union_d == boundary).sum()) == 1:
-                                n_inc = len(heap)
-                                heap = heaps[qi] = [
-                                    heap[t]
-                                    if t < n_inc
-                                    else (
-                                        -float(seg_d[t - n_inc]),
-                                        int(seg_r[t - n_inc]),
-                                    )
-                                    for t in top.tolist()
-                                ]
-                                heap_dist[qi] = union_d[top]
-                                heap_lazy[qi] = 1
-                                kth[qi] = boundary
-                                continue
+                    heap = heaps[qi]
                     if heap_lazy[qi]:
                         heapq.heapify(heap)
                         heap_lazy[qi] = 0
                     heap_dist[qi] = None
                     for dist, rid in zip(
-                        seg_d.tolist(), seg_r.tolist()
+                        ddists.tolist(), partition.delta_rids
                     ):
+                        if rid in tomb_set:
+                            continue
                         if len(heap) < k_eff:
                             heapq.heappush(heap, (-dist, rid))
                         elif dist < -heap[0][0]:
@@ -1181,64 +869,241 @@ class ExtendedIDistance(VectorIndex):
                         -heap[0][0] if len(heap) == k_eff else np.inf
                     )
 
+            sub = act[contacted[p, act]]
+            if sub.size == 0 or bulk == 0:
+                return
+            d_vec = q_dist[p, sub]
+            # Per-query search bound, then both directions' new blocks.
+            # The triangle inequality prunes: an entry at key offset o is
+            # at least |d_i - o| away, so nothing beyond the bound can
+            # improve the answer.  Cursors hold the next unvisited
+            # position (-1 / bulk once a direction is exhausted); the
+            # clamps make a direction with nothing new an empty block
+            # that leaves its cursor in place.
+            bound = np.minimum(radius, kth[sub])
+            in_stop = in_pos[p, sub] + 1
+            in_start = np.minimum(
+                np.searchsorted(offsets, d_vec - bound, side="left"),
+                in_stop,
+            )
+            out_start = out_pos[p, sub]
+            out_stop = np.maximum(
+                np.searchsorted(offsets, d_vec + bound, side="right"),
+                out_start,
+            )
+            in_pos[p, sub] = in_start - 1
+            out_pos[p, sub] = out_stop
+
+            # The non-empty blocks, each query's inward one before its
+            # outward one.  Long blocks are scored one by one on
+            # contiguous views (no gather copies); everything shorter is
+            # batched into ONE gather kernel so small per-query slabs
+            # don't pay numpy call overhead each.
+            starts = np.empty(2 * sub.size, dtype=np.int64)
+            starts[0::2] = in_start
+            starts[1::2] = out_start
+            lens = np.empty_like(starts)
+            lens[0::2] = in_stop - in_start
+            lens[1::2] = out_stop - out_start
+            segs = np.flatnonzero(lens)
+            if segs.size == 0:
+                return
+            seg_q = sub[segs >> 1]
+            seg_lo = starts[segs]
+            seg_len = lens[segs]
+            seg_hi = seg_lo + seg_len - 1
+            dead = partition.dead if any_dead else None
+            small = seg_len < _BATCH_SEG_VIEW_MIN
+            small_len = seg_len * small
+            if small.any():
+                flat = multi_arange(seg_lo[small], seg_hi[small] + 1)
+                entry_q = np.repeat(seg_q, small_len)
+                dists_flat = flat_l2(partition.vectors, flat, Qp, entry_q)
+                rids_flat = partition.rids[flat]
+                if dead is not None:
+                    dead_flat = dead[flat]
+            # Offset of each small block inside the gathered arrays.
+            flat_start = np.cumsum(small_len) - small_len
+            vectors = partition.vectors
+            rids_all = partition.rids
+            rank0 = int(self._rank_base[p])
+            leaf_a = (rank0 + seg_lo) // fill
+            leaf_b = (rank0 + seg_hi) // fill
+            if leaf_runs:
+                leaf_a, leaf_b = leaf_pages[leaf_a], leaf_pages[leaf_b]
+            page_of_entry = partition.page_of_entry
+
+            for qi, lo_pos, ln, is_small, s0, la, lb, pg_lo, pg_hi in zip(
+                seg_q.tolist(),
+                seg_lo.tolist(),
+                seg_len.tolist(),
+                small.tolist(),
+                flat_start.tolist(),
+                leaf_a.tolist(),
+                leaf_b.tolist(),
+                page_of_entry[seg_lo].tolist(),
+                page_of_entry[seg_hi].tolist(),
+            ):
+                charge = charges[qi]
+                heap = heaps[qi]
+                # I/O: the B+-tree leaf run covering the block's entry
+                # ranks, then its contiguous data-page run (entries are
+                # rank-ordered and partition data pages were allocated
+                # consecutively).
+                if leaf_runs:
+                    charge.read_range(la, lb)
+                else:
+                    for leaf_idx in range(la, lb + 1):
+                        page = int(leaf_pages[leaf_idx])
+                        charge.read_range(page, page)
+                charge.read_range(pg_lo, pg_hi)
+                charge.count(ln, ln, width_charge)
+                if is_small:
+                    seg_d = dists_flat[s0 : s0 + ln]
+                    seg_r = rids_flat[s0 : s0 + ln]
+                    if dead is not None:
+                        seg_dead = dead_flat[s0 : s0 + ln]
+                else:
+                    # Inline norm: np.linalg.norm(diff, axis=1) IS
+                    # sqrt(add.reduce((x.conj()*x).real, axis)) —
+                    # same multiplies, same pairwise reduction, same
+                    # sqrt — minus the dispatch overhead per call.
+                    # In-place squaring/sqrt reuse the temporaries;
+                    # the values are the same ops on the same bits.
+                    diff = vectors[lo_pos : lo_pos + ln] - Qp[qi]
+                    np.multiply(diff, diff, out=diff)
+                    seg_d = np.add.reduce(diff, axis=1)
+                    np.sqrt(seg_d, out=seg_d)
+                    seg_r = rids_all[lo_pos : lo_pos + ln]
+                    if dead is not None:
+                        seg_dead = dead[lo_pos : lo_pos + ln]
+                if dead is not None:
+                    alive = ~seg_dead
+                    seg_d = seg_d[alive]
+                    seg_r = seg_r[alive]
+                # Pre-filter: kth[qi] is maintained at every heap
+                # mutation, and a candidate at or beyond the current
+                # k-th best can never enter the heap.
+                current = kth[qi]
+                if current != np.inf:
+                    keep = seg_d < current
+                    seg_d = seg_d[keep]
+                    seg_r = seg_r[keep]
+                if seg_d.size >= 48:
+                    # Vectorized top-K merge.  Heap behavior depends
+                    # only on heap *content* (heapq always pops the
+                    # minimum tuple), and streaming offers with a
+                    # strict < keep exactly the k smallest of
+                    # {heap ∪ segment} whenever the k-th smallest
+                    # distance is unique in that union; only a tie
+                    # at the selection boundary is order-dependent,
+                    # and then we fall back to the literal offer
+                    # loop.  Either way the resulting content — and
+                    # so every later comparison — is bit-identical.
+                    inc = heap_dist[qi]
+                    if inc is None:
+                        inc = np.array(
+                            [-entry[0] for entry in heap],
+                            dtype=np.float64,
+                        )
+                        heap_dist[qi] = inc
+                    union_d = np.concatenate([inc, seg_d])
+                    if union_d.size > k_eff:
+                        top = np.argpartition(union_d, k_eff - 1)[
+                            :k_eff
+                        ]
+                        boundary = union_d[top].max()
+                        if int((union_d == boundary).sum()) == 1:
+                            n_inc = len(heap)
+                            heap = heaps[qi] = [
+                                heap[t]
+                                if t < n_inc
+                                else (
+                                    -float(seg_d[t - n_inc]),
+                                    int(seg_r[t - n_inc]),
+                                )
+                                for t in top.tolist()
+                            ]
+                            heap_dist[qi] = union_d[top]
+                            heap_lazy[qi] = 1
+                            kth[qi] = boundary
+                            continue
+                if heap_lazy[qi]:
+                    heapq.heapify(heap)
+                    heap_lazy[qi] = 0
+                heap_dist[qi] = None
+                for dist, rid in zip(seg_d.tolist(), seg_r.tolist()):
+                    if len(heap) < k_eff:
+                        heapq.heappush(heap, (-dist, rid))
+                    elif dist < -heap[0][0]:
+                        heapq.heapreplace(heap, (-dist, rid))
+                kth[qi] = -heap[0][0] if len(heap) == k_eff else np.inf
+
+        # Search terminates once the k-th best distance is within the
+        # searched radius (no unexamined entry can score better) or the
+        # radius covers every partition's whole annulus.
+        expansions = 0
+        total_expansions = 0
         while True:
             act = np.flatnonzero(active)
             if act.size == 0:
                 break
+            expansions += 1
             total_expansions += act.size
-            with tracer.span(
-                "knn.batch.expand_radius",
-                radius=radius,
-                active_queries=int(act.size),
-            ):
+            # Live: one span per radius expansion and per partition probe,
+            # whose cost deltas are exactly what that step paid.
+            if live:
+                expand = tracer.span(
+                    "knn.expand_radius",
+                    counters=self.counters,
+                    radius=radius,
+                    expansion=expansions,
+                )
+            else:
+                expand = tracer.span(
+                    "knn.batch.expand_radius",
+                    radius=radius,
+                    active_queries=int(act.size),
+                )
+            # Case 3 of the module docstring, for every partition at
+            # once: a sphere that has not reached a partition's annulus
+            # opens nothing there, and a partition no active query has
+            # opened or now touches has nothing to probe.
+            d_act = q_dist[:, act]
+            opened = contacted[:, act]
+            touch = (
+                ~opened
+                & (d_act - radius <= max_r)
+                & (d_act + radius >= min_r)
+            )
+            engaged = (opened | touch).any(axis=1)
+            with expand as expand_span:
                 for partition in self.partitions:
                     if partition.size == 0:
                         continue
-                    probe(partition, act)
+                    if not live:
+                        probe(partition, act)
+                        continue
+                    with tracer.span(
+                        "knn.probe_partition",
+                        counters=self.counters,
+                        partition=partition.index,
+                        outliers=partition.subspace is None,
+                    ):
+                        probe(partition, act)
+                if live and tracer.enabled:
+                    expand_span.set(
+                        heap_size=len(heaps[0]), kth_best=float(kth[0])
+                    )
             done = (np.isfinite(kth[act]) & (kth[act] <= radius)) | (
                 radius > max_needed[act]
             )
             active[act[done]] = False
             radius += self.radius_step
-
-        # Settle: per-query LRU replay of the recorded page sequences,
-        # per-query result ordering, and one fold of the batch totals into
-        # the index's counters.
-        capacity = self.pool.capacity_pages
-        stats: List[QueryStats] = []
-        ids = np.empty((n_queries, k_eff), dtype=np.int64)
-        distances = np.empty((n_queries, k_eff), dtype=np.float64)
-        with tracer.span("knn.batch.settle", n_queries=n_queries):
-            logical, physical = _settle_ledgers(ledgers, capacity)
-            for qi in range(n_queries):
-                led = ledgers[qi]
-                ordered = sorted((-d, rid) for d, rid in heaps[qi])
-                ids[qi] = [rid for _, rid in ordered]
-                distances[qi] = [d for d, _ in ordered]
-                stats.append(
-                    QueryStats(
-                        page_reads=int(physical[qi]),
-                        distance_computations=led.distance_computations,
-                        distance_flops=led.distance_flops,
-                        key_comparisons=led.key_comparisons,
-                        cpu_seconds=0.0,
-                    )
-                )
-        self.counters.merge(
-            CostSnapshot(
-                logical_reads=int(logical.sum()),
-                physical_reads=int(physical.sum()),
-                key_comparisons=sum(
-                    led.key_comparisons for led in ledgers
-                ),
-                distance_computations=sum(
-                    led.distance_computations for led in ledgers
-                ),
-                distance_flops=sum(
-                    led.distance_flops for led in ledgers
-                ),
-            )
-        )
         if tracer.enabled:
             tracer.counter("knn.radius_expansions").inc(total_expansions)
-        return ids, distances, stats
+            if live:
+                tracer.histogram(
+                    "knn.expansions_per_query", buckets=tuple(range(1, 65))
+                ).observe(expansions)
+        return heaps, charges

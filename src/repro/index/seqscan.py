@@ -16,14 +16,14 @@ filters it from the result — both run as WAL transactions when
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..obs.tracer import NULL_TRACER, Tracer, ensure_tracer
+from ..obs.tracer import Tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors, rows_per_page
-from .base import DEFAULT_POOL_PAGES, KNNResult, VectorIndex
+from .base import DEFAULT_POOL_PAGES, VectorIndex
 from .dynamic import DeltaStore, route_point
 
 __all__ = ["SequentialScan"]
@@ -104,7 +104,8 @@ class SequentialScan(VectorIndex):
     ) -> int:
         """Insert a point into the scan's delta store, routed like the
         paper's dynamic insert (nearest subspace within β, else outlier).
-        Returns the subspace index used (-1 for outlier/full-d)."""
+        Returns the subspace index used (-1 for outlier/full-d).
+        Raises ``ValueError`` for a rid that is live or was deleted."""
         point = self._prepare_point(point)
         rid = int(rid)
         if rid in self._tombstones:
@@ -112,6 +113,8 @@ class SequentialScan(VectorIndex):
                 f"rid {rid} was deleted from this index; deleted ids "
                 "cannot be reused before a rebuild"
             )
+        if 0 <= rid < self.reduced.n_points or rid in self.delta.rids:
+            raise ValueError(f"rid {rid} is already live in this index")
         sidx, vector, residual = route_point(self.reduced, point, beta)
         self._note_routed_insert(sidx, residual)
         with self._wal_txn("insert") as txn:
@@ -162,33 +165,11 @@ class SequentialScan(VectorIndex):
     # search
     # ------------------------------------------------------------------
 
-    def knn(
+    def _search(
         self,
         query: np.ndarray,
         k: int,
-        tracer: Optional[Tracer] = None,
-        mode: str = "exact",
-        rerank_depth: Optional[int] = None,
-    ) -> KNNResult:
-        if mode != "exact":
-            return self._approx_knn(
-                query, k, tracer=tracer, mode=mode,
-                rerank_depth=rerank_depth,
-            )
-        query = self._check_query(query)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        tracer = ensure_tracer(tracer)
-        (ids, distances), stats = self._measured(
-            self._scan, query, k, tracer, tracer=tracer, k=k
-        )
-        return KNNResult(ids=ids, distances=distances, stats=stats)
-
-    def _scan(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracer: Tracer = NULL_TRACER,
+        tracer: Tracer,
     ) -> Tuple[np.ndarray, np.ndarray]:
         k = min(k, self.live_count)
         if k <= 0:  # every point deleted — nothing to return

@@ -4,7 +4,9 @@ The batched engine (:meth:`VectorIndex.knn_batch`) exists purely to
 amortize per-query overhead — the contract is that results AND cold-cache
 cost accounting are bit-for-bit those of a sequential ``knn`` loop.  These tests enforce that
 contract on every scheme, in property style: many queries, several k values,
-dynamic inserts, tracer on and off.
+dynamic inserts, tracer on and off.  iDistance's ``knn`` and ``knn_batch``
+share one engine, so its answers are also checked against an independent
+reference, a SequentialScan fed the same mutations.
 """
 
 import numpy as np
@@ -17,7 +19,10 @@ from repro.index.global_ldr import GlobalLDRIndex
 from repro.index.idistance import ExtendedIDistance
 from repro.index.seqscan import SequentialScan
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.persist.snapshot import load_index, save_index
+from repro.recovery.recover import checkpoint, recover
 from repro.reduction.mmdr_adapter import model_to_reduced
+from repro.storage.wal import WriteAheadLog
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +57,28 @@ def sequential_reference(index, workload):
         dists.append(res.distances)
         stats.append(res.stats)
     return np.vstack(ids), np.vstack(dists), stats
+
+
+def matches_reference(ids, dists, ref, k, rtol=1e-9):
+    """Whether ``(ids, dists)`` is a correct top-``k`` answer judged by a
+    deeper ``ref`` answer of another scheme: ``k`` distinct rids, each at
+    its reference distance, whose distances are the ``k`` smallest.  A rid
+    tied with the k-th may stand in for another, and distances agree to
+    ``rtol`` (two schemes may round a reduced distance differently in the
+    last bit)."""
+    ref_dist = dict(zip(ref.ids.tolist(), ref.distances.tolist()))
+    return (
+        ids.size == k
+        and np.unique(ids).size == k
+        and all(rid in ref_dist for rid in ids.tolist())
+        and np.allclose(
+            dists, [ref_dist[rid] for rid in ids.tolist()],
+            rtol=rtol, atol=0.0,
+        )
+        and np.allclose(
+            np.sort(dists), ref.distances[:k], rtol=rtol, atol=0.0
+        )
+    )
 
 
 def assert_equivalent(seq, batch):
@@ -108,30 +135,62 @@ class TestBatchEquivalence:
         res = index.knn_batch(wl.queries, wl.k)
         assert_equivalent(seq, (res.ids, res.distances, list(res.stats)))
 
-    def test_after_dynamic_inserts(self, reduced, two_cluster_dataset):
-        """The shared scan must score delta (inserted) vectors exactly as
-        the sequential search does."""
+    def test_after_dynamic_inserts(
+        self, reduced, two_cluster_dataset, tmp_path
+    ):
+        """Inserts, then deletes of bulk and inserted rids, replayed by WAL
+        recovery and carried through a snapshot: ``knn`` and ``knn_batch``
+        must agree bit-for-bit, and both must answer as a SequentialScan
+        fed the same ops does (the independent reference)."""
         _, red = reduced
+        points = two_cluster_dataset.points
         rng = np.random.default_rng(31)
+        wl = sample_queries(points, 15, rng, k=8, method="perturbed")
+        ops = []
+        for i in range(25):
+            base = points[rng.integers(points.shape[0])]
+            ops.append(
+                ("insert", base + rng.normal(0, 1e-3, base.shape),
+                 2_000_000 + i)
+            )
+        # Delete the current two best bulk answers of several queries, so
+        # a bulk delete the scan fails to filter changes an answer.
+        probe = SequentialScan(red)
+        doomed = []
+        for query in wl.queries[:6]:
+            for rid in probe.knn(query, 2).ids.tolist():
+                if rid not in doomed:
+                    doomed.append(rid)
+        ops += [("delete", rid) for rid in doomed]
+        ops += [("delete", 2_000_000 + i) for i in range(0, 25, 3)]
 
-        def build():
-            index = ExtendedIDistance(red)
-            r = np.random.default_rng(31)
-            for i in range(25):
-                base = two_cluster_dataset.points[
-                    r.integers(two_cluster_dataset.points.shape[0])
-                ]
-                index.insert(
-                    base + r.normal(0, 1e-3, base.shape), rid=2_000_000 + i
-                )
-            return index
+        def apply(index):
+            for op in ops:
+                if op[0] == "insert":
+                    index.insert(op[1], rid=op[2])
+                else:
+                    index.delete(op[1])
 
-        wl = sample_queries(
-            two_cluster_dataset.points, 15, rng, k=8, method="perturbed"
-        )
-        seq = sequential_reference(build(), wl)
-        res = build().knn_batch(wl.queries, wl.k)
+        index = ExtendedIDistance(red)
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        index.enable_wal(wal)
+        checkpoint(index, tmp_path / "ckpt")
+        apply(index)
+        wal.close()
+        recovered, report = recover(tmp_path / "wal.log")
+        assert report.metas_applied == len(ops)
+        save_index(recovered, tmp_path / "snap")
+        oracle = SequentialScan(red)
+        apply(oracle)
+
+        seq = sequential_reference(load_index(tmp_path / "snap"), wl)
+        res = load_index(tmp_path / "snap").knn_batch(wl.queries, wl.k)
         assert_equivalent(seq, (res.ids, res.distances, list(res.stats)))
+        for row, query in enumerate(wl.queries):
+            ref = oracle.knn(query, wl.k + 5)
+            assert matches_reference(
+                res.ids[row], res.distances[row], ref, wl.k
+            ), row
 
     def test_tracer_does_not_change_batch_results(self, reduced, workload):
         _, red = reduced

@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.mmdr import MMDR
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
+from repro.index.global_ldr import GlobalLDRIndex
 from repro.index.idistance import ExtendedIDistance
+from repro.index.seqscan import SequentialScan
 from repro.reduction.mmdr_adapter import model_to_reduced
 
 
@@ -111,3 +113,24 @@ class TestKeySpaceGuard:
         far_in_plane = subspace.mean + direction * (index.c * 5)
         with pytest.raises(ValueError):
             index.insert(far_in_plane, rid=999_999)
+
+
+@pytest.mark.parametrize(
+    "scheme", [ExtendedIDistance, SequentialScan, GlobalLDRIndex]
+)
+def test_insert_rejects_live_rid(scheme, built_index):
+    """A rid already live (bulk-loaded or inserted) cannot be inserted
+    again: it would answer twice and count twice in ``live_count``."""
+    ds, model, _ = built_index
+    index = scheme(model_to_reduced(model))
+    n = ds.points.shape[0]
+    with pytest.raises(ValueError, match="already live"):
+        index.insert(ds.points[5] + 1e-6, rid=5)
+    index.insert(ds.points[6] + 1e-6, rid=999_500)
+    with pytest.raises(ValueError, match="already live"):
+        index.insert(ds.points[6] + 2e-6, rid=999_500)
+    assert index.live_count == n + 1
+    index.reset_cache()
+    ids = index.knn(ds.points[5], 5).ids.tolist()
+    assert ids.count(5) == 1
+    assert len(set(ids)) == len(ids)

@@ -1,6 +1,8 @@
 """Snapshot round trips of indexes carrying online inserts/deletes, and
 load-then-recover ordering (snapshot as the recovery baseline)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,21 @@ class TestDynamicRoundTrip:
         with pytest.raises(Exception, match="pickle"):
             save_index(index, tmp_path / "snap")
         index.wal.close()
+
+
+def test_idistance_snapshot_without_dead_masks_loads(reduced):
+    """An iDistance pickled before partitions carried ``dead`` masks
+    rebuilds them from its tombstones on load."""
+    ds, red = reduced
+    index = ExtendedIDistance(red)
+    mutate(index, ds.points, red.n_points)
+    old = pickle.loads(pickle.dumps(index))
+    for partition in old.partitions:
+        del partition.dead
+    restored = pickle.loads(pickle.dumps(old))
+    for a, b in zip(index.partitions, restored.partitions):
+        assert np.array_equal(a.dead, b.dead)
+    assert_same_answers(index, restored, ds.points[:4])
 
 
 class TestLoadThenRecoverOrdering:
