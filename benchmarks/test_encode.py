@@ -4,7 +4,7 @@ Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_encode.report.json``) whose counter section holds
 the gate-eligible ``recall_at_k`` plus the approximate tier's logical
 costs; the flat ``BENCH_encode.json`` at the repo root is the
-:func:`repro.bench.encode_view` of that report
+:func:`repro.bench.view` of that report
 
     {"recall_at_k", "encode_code_pages", "approx_page_reads_cold",
      "approx_distance_computations", "qps_sequential", "qps_approx",
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import DEFAULT_SPECS, encode_view, run_bench
+from repro.bench import DEFAULT_SPECS, run_bench, view
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = REPO_ROOT / "benchmarks" / "out"
@@ -98,10 +98,10 @@ def test_encode_bench_report():
     ]
 
     report.write(OUT_DIR / "BENCH_encode.report.json")
-    view = encode_view(report)
+    flat = view(report, "encode")
     out = REPO_ROOT / "BENCH_encode.json"
-    out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(flat, indent=2, sort_keys=True) + "\n")
     print(
         "\nencode: "
-        + ", ".join(f"{k}={v:.4g}" for k, v in sorted(view.items()))
+        + ", ".join(f"{k}={v:.4g}" for k, v in sorted(flat.items()))
     )

@@ -2,7 +2,7 @@
 
 Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_ingest.report.json``); the flat ``BENCH_ingest.json``
-at the repo root is the :func:`repro.bench.ingest_view` of that report
+at the repo root is the :func:`repro.bench.view` of that report
 
     {"n_points", "n_ops", "reorgs", "final_generation",
      "crash_schedules", "recovered_old", "recovered_new",
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import BenchReport, ingest_view, result_fingerprint
+from repro.bench import BenchReport, result_fingerprint, view
 from repro.bench.spec import INDEX_SCHEMES
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
@@ -311,9 +311,9 @@ def test_rolling_swap_under_load_and_report(
         },
     )
     report.write(OUT_DIR / "BENCH_ingest.report.json")
-    view = ingest_view(report)
+    flat = view(report, "ingest")
     out = REPO_ROOT / "BENCH_ingest.json"
-    out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(flat, indent=2, sort_keys=True) + "\n")
     print(
-        "\ningest: " + ", ".join(f"{k}={v}" for k, v in sorted(view.items()))
+        "\ningest: " + ", ".join(f"{k}={v}" for k, v in sorted(flat.items()))
     )

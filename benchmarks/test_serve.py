@@ -2,7 +2,7 @@
 
 Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_serve.report.json``); the flat ``BENCH_serve.json``
-at the repo root is the :func:`repro.bench.serve_view` of that report
+at the repo root is the :func:`repro.bench.view` of that report
 
     {"n_shards", "n_requests", "n_partial", "respawns", "retries",
      "qps", "p50_ms", "p99_ms"}
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import BenchReport, result_fingerprint, serve_view
+from repro.bench import BenchReport, result_fingerprint, view
 from repro.bench.spec import INDEX_SCHEMES
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
@@ -234,9 +234,9 @@ def test_sustained_load_with_midrun_crash_and_report(dataset, tmp_path):
         },
     )
     report.write(OUT_DIR / "BENCH_serve.report.json")
-    view = serve_view(report)
+    flat = view(report, "serve")
     out = REPO_ROOT / "BENCH_serve.json"
-    out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(flat, indent=2, sort_keys=True) + "\n")
     print(
-        "\nserve: " + ", ".join(f"{k}={v}" for k, v in sorted(view.items()))
+        "\nserve: " + ", ".join(f"{k}={v}" for k, v in sorted(flat.items()))
     )

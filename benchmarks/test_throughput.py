@@ -3,7 +3,7 @@
 Emits a versioned :class:`repro.bench.BenchReport` (written to
 ``benchmarks/out/BENCH_throughput.report.json``) whose advisory section
 holds the wall-clock rates; the long-standing flat ``BENCH_throughput.json``
-at the repo root is kept as the :func:`repro.bench.throughput_view` of that
+at the repo root is kept as the :func:`repro.bench.view` of that
 report
 
     {"qps_sequential", "qps_batch", "speedup_batch"}
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import BenchReport, result_fingerprint, throughput_view
+from repro.bench import BenchReport, result_fingerprint, view
 from repro.data.synthetic import SyntheticSpec, generate_correlated_clusters
 from repro.data.workload import sample_queries
 from repro.eval.harness import measure_throughput, run_workload
@@ -111,13 +111,13 @@ def test_throughput_speedup_and_report():
         fingerprints={"sequential": result_fingerprint(ids, dists)},
     )
     report.write(OUT_DIR / "BENCH_throughput.report.json")
-    view = throughput_view(report)
+    flat = view(report, "throughput")
     out = REPO_ROOT / "BENCH_throughput.json"
-    out.write_text(json.dumps(view, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(flat, indent=2, sort_keys=True) + "\n")
     print(
         "\nthroughput: "
-        + ", ".join(f"{k}={v:.1f}" for k, v in sorted(view.items()))
+        + ", ".join(f"{k}={v:.1f}" for k, v in sorted(flat.items()))
     )
-    assert view["speedup_batch"] >= 3.0, (
-        f"batched engine only {view['speedup_batch']:.2f}x over sequential"
+    assert flat["speedup_batch"] >= 3.0, (
+        f"batched engine only {flat['speedup_batch']:.2f}x over sequential"
     )

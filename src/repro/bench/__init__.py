@@ -38,12 +38,8 @@ from .report import (
     SCHEMA_VERSION,
     BenchReport,
     BenchReportError,
-    encode_view,
-    ingest_view,
-    recovery_view,
-    serve_view,
-    throughput_view,
     validate_view,
+    view,
 )
 from .runner import FingerprintMismatch, run_bench
 from .spec import WorkloadSpec
@@ -60,13 +56,9 @@ __all__ = [
     "ToleranceBand",
     "WorkloadSpec",
     "compare_reports",
-    "encode_view",
     "format_table",
-    "ingest_view",
-    "recovery_view",
     "result_fingerprint",
     "run_bench",
-    "serve_view",
-    "throughput_view",
     "validate_view",
+    "view",
 ]

@@ -30,11 +30,10 @@ metric sections have different contracts:
 schema is rejected with :class:`BenchReportError` rather than being
 reinterpreted silently.
 
-The long-standing top-level ``BENCH_throughput.json`` and
-``BENCH_recovery.json`` files are kept as flat *views* of a report
-(:func:`throughput_view` / :func:`recovery_view`), so their consumers and
-their committed history survive the reporter swap; :func:`validate_view`
-checks a view file against the expected key set.
+The top-level ``BENCH_<kind>.json`` files (throughput, recovery, serve,
+ingest, encode) are flat *views* of a report (:func:`view`), so their
+consumers and their committed history survive the reporter swap;
+:func:`validate_view` checks a view file against the expected key set.
 """
 
 from __future__ import annotations
@@ -54,11 +53,7 @@ __all__ = [
     "SERVE_VIEW_KEYS",
     "INGEST_VIEW_KEYS",
     "ENCODE_VIEW_KEYS",
-    "throughput_view",
-    "recovery_view",
-    "serve_view",
-    "ingest_view",
-    "encode_view",
+    "view",
     "validate_view",
 ]
 
@@ -273,7 +268,21 @@ _VIEW_KEYS = {
 }
 
 
-def _extract_view(report: BenchReport, keys) -> dict:
+def _view_keys(kind: str) -> tuple:
+    try:
+        return _VIEW_KEYS[kind]
+    except KeyError:
+        raise BenchReportError(
+            f"unknown view kind {kind!r}; expected one of "
+            f"{sorted(_VIEW_KEYS)}"
+        )
+
+
+def view(report: BenchReport, kind: str) -> dict:
+    """The flat ``BENCH_<kind>.json`` dict, drawn from a report; ``kind``
+    is one of ``"throughput"``, ``"recovery"``, ``"serve"``,
+    ``"ingest"`` or ``"encode"``."""
+    keys = _view_keys(kind)
     merged = {**report.counters, **report.advisory}
     missing = [key for key in keys if key not in merged]
     if missing:
@@ -283,41 +292,10 @@ def _extract_view(report: BenchReport, keys) -> dict:
     return {key: merged[key] for key in keys}
 
 
-def throughput_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_throughput.json`` dict, drawn from a report."""
-    return _extract_view(report, THROUGHPUT_VIEW_KEYS)
-
-
-def recovery_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_recovery.json`` dict, drawn from a report."""
-    return _extract_view(report, RECOVERY_VIEW_KEYS)
-
-
-def serve_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_serve.json`` dict, drawn from a report."""
-    return _extract_view(report, SERVE_VIEW_KEYS)
-
-
-def ingest_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_ingest.json`` dict, drawn from a report."""
-    return _extract_view(report, INGEST_VIEW_KEYS)
-
-
-def encode_view(report: BenchReport) -> dict:
-    """The flat ``BENCH_encode.json`` dict, drawn from a report."""
-    return _extract_view(report, ENCODE_VIEW_KEYS)
-
-
 def validate_view(kind: str, data: object) -> None:
-    """Check a flat view dict (``kind`` of ``"throughput"`` or
-    ``"recovery"``) for exactly the expected numeric keys."""
-    try:
-        keys = _VIEW_KEYS[kind]
-    except KeyError:
-        raise BenchReportError(
-            f"unknown view kind {kind!r}; expected one of "
-            f"{sorted(_VIEW_KEYS)}"
-        )
+    """Check a flat view dict of any :func:`view` ``kind`` for exactly
+    the expected numeric keys."""
+    keys = _view_keys(kind)
     if not isinstance(data, dict):
         raise BenchReportError(
             f"{kind} view must be a JSON object, got {type(data).__name__}"

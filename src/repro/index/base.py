@@ -60,6 +60,24 @@ class InvalidQueryError(ValueError):
 DEFAULT_POOL_PAGES = 512
 
 
+def canonical_top_k(
+    ids: np.ndarray, distances: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``k`` smallest candidates by ``(distance, id)``, in that order.
+
+    This is the one answer order every exact scheme selects under, so a
+    tie at the k-th place always keeps the smallest id.  Large candidate
+    sets are first cut at the k-th smallest distance (ties kept) so the
+    lexsort only sees about ``k`` entries.
+    """
+    if distances.size > 4 * k:
+        cut = np.partition(distances, k - 1)[k - 1]
+        keep = distances <= cut
+        ids, distances = ids[keep], distances[keep]
+    order = np.lexsort((ids, distances))[:k]
+    return ids[order], distances[order]
+
+
 @dataclass(frozen=True)
 class QueryStats:
     """Cost of one query (a diff of two counter snapshots)."""
@@ -95,7 +113,9 @@ class KNNResult:
     """Neighbor ids (nearest first), their scores, and the query's cost.
 
     ``distances`` are the index's search scores: within-subspace reduced L2
-    (which lower-bounds the true distance) or exact L2 for outliers.
+    (which lower-bounds the true distance) or exact L2 for outliers.  The
+    answer is the top-K ordered by ``(distance, id)``: a tie at the k-th
+    place keeps the smallest ids, in every scheme.
     """
 
     ids: np.ndarray
@@ -118,10 +138,11 @@ class KNNResult:
 class BatchKNNResult:
     """Answers for a whole query workload in workload order.
 
-    ``ids`` and ``distances`` are ``(Q, k)`` (nearest first per row);
-    ``stats`` has one :class:`QueryStats` per query.  Per-query accounting
-    is defined under the *cold-cache* protocol (buffer pool empty at each
-    query's start — the paper's per-query measurement), and is bit-identical
+    ``ids`` and ``distances`` are ``(Q, k)``, each row in ``(distance,
+    rid)`` order; ``stats`` has one :class:`QueryStats` per query.
+    Per-query accounting is defined under the *cold-cache* protocol
+    (buffer pool empty at each query's start — the paper's per-query
+    measurement), and is bit-identical
     to answering the same queries one at a time through :meth:`VectorIndex.knn`
     with a cache reset before each.  ``wall_seconds`` is the real elapsed
     time for the whole batch; on vectorized fast paths each query's
@@ -204,7 +225,8 @@ class VectorIndex:
         mode: str = "exact",
         rerank_depth: Optional[int] = None,
     ) -> KNNResult:
-        """The K nearest neighbors of ``query`` under the index's scoring.
+        """The K nearest neighbors of ``query`` under the index's scoring,
+        ordered by ``(distance, rid)`` (see :class:`KNNResult`).
 
         Pass a :class:`~repro.obs.Tracer` to record per-phase spans (and
         per-span cost deltas) for this query; the default is a shared
@@ -255,8 +277,8 @@ class VectorIndex:
         self, query: np.ndarray, k: int, tracer: Tracer
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The scheme's exact search for one validated query: ``(ids,
-        distances)``, nearest first, with every page read and distance
-        charged to the index's counters.  Schemes override."""
+        distances)`` in ``(distance, rid)`` order, with every page read
+        and distance charged to the index's counters.  Schemes override."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

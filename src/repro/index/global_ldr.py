@@ -25,9 +25,9 @@ import numpy as np
 from ..obs.tracer import Tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors, rows_per_page
-from .base import DEFAULT_POOL_PAGES, VectorIndex
+from .base import DEFAULT_POOL_PAGES, VectorIndex, canonical_top_k
 from .dynamic import DeltaStore, route_point
-from .hybrid_tree import HybridTree
+from .hybrid_tree import HybridTree, offer_top_k
 
 __all__ = ["GlobalLDRIndex"]
 
@@ -177,16 +177,12 @@ class GlobalLDRIndex(VectorIndex):
             self.reduced.subspaces[i].project(query)
             for i in range(len(self.trees))
         ]
-        results: List[Tuple[float, int]] = []  # max-heap via negation
+        results: List[Tuple[float, int]] = []  # see offer_top_k
         tombs = getattr(self, "_tombstones", ())
 
         def offer(dist: float, rid: int) -> None:
-            if rid in tombs:
-                return
-            if len(results) < k:
-                heapq.heappush(results, (-dist, rid))
-            elif dist < -results[0][0]:
-                heapq.heapreplace(results, (-dist, rid))
+            if rid not in tombs:
+                offer_top_k(results, k, dist, rid)
 
         # Outliers first: their exact distances tighten the global bound
         # before any tree is descended.
@@ -253,7 +249,6 @@ class GlobalLDRIndex(VectorIndex):
             if tracer.enabled:
                 tree_span.set(nodes_expanded=expanded)
 
-        ordered = sorted((-d, rid) for d, rid in results)
-        distances = np.array([d for d, _ in ordered])
-        ids = np.array([rid for _, rid in ordered], dtype=np.int64)
-        return ids, distances
+        ids = np.array([-rid for _, rid in results], dtype=np.int64)
+        distances = np.array([-d for d, _ in results], dtype=np.float64)
+        return canonical_top_k(ids, distances, k)

@@ -37,7 +37,27 @@ from ..storage.buffer import BufferPool
 from ..storage.pager import PAGE_SIZE, POINTER_SIZE, RID_SIZE, PageStore, vector_bytes
 from ..storage.metrics import CostCounters
 
-__all__ = ["HybridTree", "hybrid_internal_fanout", "hybrid_leaf_capacity"]
+__all__ = [
+    "HybridTree",
+    "hybrid_internal_fanout",
+    "hybrid_leaf_capacity",
+    "offer_top_k",
+]
+
+
+def offer_top_k(
+    results: List[Tuple[float, int]], k: int, dist: float, rid: int
+) -> None:
+    """Offer one candidate to a best-K heap under ``(distance, rid)``.
+
+    ``results`` is a heapq min-heap of ``(-distance, -rid)``, so its root
+    is the worst kept candidate; a new one replaces it when it is smaller
+    in ``(distance, rid)`` order, which keeps the smaller rid on a tie.
+    """
+    if len(results) < k:
+        heapq.heappush(results, (-dist, -rid))
+    elif (-dist, -rid) > results[0]:
+        heapq.heapreplace(results, (-dist, -rid))
 
 
 def hybrid_internal_fanout(dimensionality: int) -> int:
@@ -241,18 +261,16 @@ class HybridTree:
     # ------------------------------------------------------------------
 
     def knn(self, q: np.ndarray, k: int) -> List[Tuple[float, int]]:
-        """Exact KNN within this tree (distance, rid), nearest first."""
+        """Exact KNN within this tree as ``(distance, rid)`` pairs, in
+        that order."""
         q = np.asarray(q, dtype=np.float64)
-        results: List[Tuple[float, int]] = []  # max-heap via negation
+        results: List[Tuple[float, int]] = []  # see offer_top_k
         frontier: List[Tuple[float, int]] = [
             (self.root_mindist(q), self.root_page)
         ]
 
         def offer(dist: float, rid: int) -> None:
-            if len(results) < k:
-                heapq.heappush(results, (-dist, rid))
-            elif dist < -results[0][0]:
-                heapq.heapreplace(results, (-dist, rid))
+            offer_top_k(results, k, dist, rid)
 
         def push(mindist: float, page: int) -> None:
             heapq.heappush(frontier, (mindist, page))
@@ -262,4 +280,4 @@ class HybridTree:
             if len(results) == k and mindist > -results[0][0]:
                 break
             self.expand(page, q, push, offer)
-        return sorted((-d, rid) for d, rid in results)
+        return sorted((-d, -rid) for d, rid in results)

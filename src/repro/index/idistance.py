@@ -56,7 +56,6 @@ settled afterwards against a cold LRU of the pool's capacity.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -74,7 +73,12 @@ from ..reduction.base import ReducedDataset
 from ..btree.tree import BPlusTree
 from ..storage.metrics import CostSnapshot
 from ..storage.pager import PAGE_SIZE, vector_bytes
-from .base import DEFAULT_POOL_PAGES, QueryStats, VectorIndex
+from .base import (
+    DEFAULT_POOL_PAGES,
+    QueryStats,
+    VectorIndex,
+    canonical_top_k,
+)
 
 __all__ = ["ExtendedIDistance"]
 
@@ -624,11 +628,10 @@ class ExtendedIDistance(VectorIndex):
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
             )
-        (heap,), _ = self._scan(query[None], k_eff, tracer, live=True)
-        ordered = sorted((-d, rid) for d, rid in heap)
-        ids = np.array([rid for _, rid in ordered], dtype=np.int64)
-        distances = np.array([d for d, _ in ordered], dtype=np.float64)
-        return ids, distances
+        (ids, distances), _ = self._scan(
+            query[None], k_eff, tracer, live=True
+        )
+        return ids[0], distances[0]
 
     def _knn_batch(
         self, queries: np.ndarray, k: int, tracer: Tracer
@@ -654,26 +657,21 @@ class ExtendedIDistance(VectorIndex):
                 np.empty((n_queries, 0), dtype=np.float64),
                 [zero] * n_queries,
             )
-        heaps, ledgers = self._scan(queries, k_eff, tracer, live=False)
+        (ids, distances), ledgers = self._scan(
+            queries, k_eff, tracer, live=False
+        )
 
-        # Settle: per-query LRU replay of the recorded page sequences,
-        # per-query result ordering, and one fold of the batch totals into
-        # the index's counters.
+        # Settle: per-query LRU replay of the recorded page sequences and
+        # one fold of the batch totals into the index's counters.
         stats: List[QueryStats] = []
-        ids = np.empty((n_queries, k_eff), dtype=np.int64)
-        distances = np.empty((n_queries, k_eff), dtype=np.float64)
         with tracer.span("knn.batch.settle", n_queries=n_queries):
             logical, physical = _settle_ledgers(
                 ledgers, self.pool.capacity_pages
             )
-            for qi in range(n_queries):
-                led = ledgers[qi]
-                ordered = sorted((-d, rid) for d, rid in heaps[qi])
-                ids[qi] = [rid for _, rid in ordered]
-                distances[qi] = [d for d, _ in ordered]
+            for led, reads in zip(ledgers, physical.tolist()):
                 stats.append(
                     QueryStats(
-                        page_reads=int(physical[qi]),
+                        page_reads=reads,
                         distance_computations=led.distance_computations,
                         distance_flops=led.distance_flops,
                         key_comparisons=led.key_comparisons,
@@ -703,7 +701,7 @@ class ExtendedIDistance(VectorIndex):
         k_eff: int,
         tracer: Tracer,
         live: bool,
-    ) -> Tuple[List[List[Tuple[float, int]]], list]:
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray], list]:
         """The expanding-radius KNN search of every row of ``queries``.
 
         Every query expands its search radius in lockstep.  Per partition
@@ -712,11 +710,14 @@ class ExtendedIDistance(VectorIndex):
         their not-yet-visited candidates are scored by ONE gather kernel —
         ``vectors[flat_positions] - q_proj[query_of_entry]`` reduced over
         the last axis — whose entries are bit-identical to per-block norms
-        (see :mod:`repro.linalg.kernels`).  Only top-K heap maintenance
-        stays per query, consuming each query's segments in scan order
-        (inward then outward, ascending positions, with the k-th-best
-        pre-filter refreshed between segments), so a query's answer never
-        depends on which other rows share the scan.
+        (see :mod:`repro.linalg.kernels`).  Only top-K selection stays per
+        query: ``merge`` folds each scored block into the query's dense
+        best row by :func:`~repro.index.base.canonical_top_k`, so the
+        answer is the top-K by ``(distance, rid)`` whichever rows share
+        the scan and in whatever order tied candidates arrive.  The k-th
+        best distance — hence every search bound and the termination test
+        — does not depend on that order either, so page reads and counts
+        are those of any exact selection.
 
         ``live`` picks how cost is charged.  ``True`` (one row, from
         :meth:`knn`): through the buffer pool and counters as each probe
@@ -724,8 +725,8 @@ class ExtendedIDistance(VectorIndex):
         ``False`` (cold :meth:`knn_batch`): into one :class:`_QueryLedger`
         per row, under ``knn.batch.*`` spans; the caller settles them.
 
-        Returns each query's heap of ``(-distance, rid)`` (exact content,
-        not necessarily heap-ordered) and the per-query chargers.
+        Returns ``(ids, distances)``, each ``(Q, k_eff)`` with rows in
+        ``(distance, rid)`` order, and the per-query chargers.
         """
         n_queries = queries.shape[0]
         n_parts = len(self.partitions)
@@ -775,8 +776,9 @@ class ExtendedIDistance(VectorIndex):
                 q_proj.append(block)
 
         # Each partition's delta store (dynamic inserts) is stacked once,
-        # when the first query reaches that partition.
-        delta_blocks: Dict[int, np.ndarray] = {}
+        # when the first query reaches that partition: (vectors, rids,
+        # dead mask or None).
+        delta_blocks: Dict[int, tuple] = {}
 
         max_r = np.array([[p.max_radius] for p in self.partitions])
         min_r = np.array([[p.min_radius] for p in self.partitions])
@@ -786,18 +788,11 @@ class ExtendedIDistance(VectorIndex):
         else:
             max_needed = np.zeros(n_queries)
 
-        heaps: List[List[Tuple[float, int]]] = [
-            [] for _ in range(n_queries)
-        ]
-        # Heap representation is *lazy*: after a vectorized top-K merge the
-        # list holds the exact content but not heap order, flagged here, and
-        # is heapified on demand before any heapq operation — heapify of
-        # equivalent content is exact, so behavior is unchanged.  heap_dist
-        # caches the content's distances (aligned with the list) so the
-        # next merge can reuse them instead of re-extracting per entry.
-        heap_lazy = bytearray(n_queries)
-        heap_dist: List[Optional[np.ndarray]] = [None] * n_queries
-        kth = np.full(n_queries, np.inf)
+        # Each query's best K so far, in (distance, rid) order; unfilled
+        # slots hold distance inf.  kth is a view of the K-th column.
+        best_d = np.full((n_queries, k_eff), np.inf)
+        best_r = np.full((n_queries, k_eff), -1, dtype=np.int64)
+        kth = best_d[:, -1]
         active = np.ones(n_queries, dtype=bool)
         contacted = np.zeros((n_parts, n_queries), dtype=bool)
         in_pos = np.zeros((n_parts, n_queries), dtype=np.int64)
@@ -811,6 +806,29 @@ class ExtendedIDistance(VectorIndex):
         )
         fill = self._leaf_fill
         radius = self.radius_step
+
+        def merge(
+            qi: int,
+            d: np.ndarray,
+            rid: np.ndarray,
+            dead: Optional[np.ndarray] = None,
+        ) -> None:
+            """Fold scored candidates into query ``qi``'s best row.  Only
+            live ones at or within the k-th best can enter; a tie at it
+            enters, and the canonical order keeps the smaller rid."""
+            keep = d <= kth[qi]
+            if dead is not None:
+                keep[dead] = False
+            n_keep = int(np.count_nonzero(keep))
+            if n_keep == 0:
+                return
+            if n_keep < d.size:
+                d, rid = d[keep], rid[keep]
+            best_r[qi], best_d[qi] = canonical_top_k(
+                np.concatenate((best_r[qi], rid)),
+                np.concatenate((best_d[qi], d)),
+                k_eff,
+            )
 
         def probe(partition: _Partition, act: np.ndarray) -> None:
             """Advance every active query's scan of one partition to cover
@@ -842,32 +860,25 @@ class ExtendedIDistance(VectorIndex):
                 if partition.delta_rids:
                     for page in partition.delta_pages:
                         charge.read_range(page, page)
-                    dblock = delta_blocks.get(p)
-                    if dblock is None:
-                        dblock = delta_blocks[p] = np.vstack(
-                            partition.delta_vectors
+                    delta = delta_blocks.get(p)
+                    if delta is None:
+                        drids = partition.delta_rids
+                        ddead = (
+                            np.array([r in tomb_set for r in drids])
+                            if any_dead
+                            else None
                         )
-                    ddists = np.linalg.norm(dblock - Qp[qi], axis=1)
+                        delta = delta_blocks[p] = (
+                            np.vstack(partition.delta_vectors),
+                            np.asarray(drids),
+                            ddead,
+                        )
+                    dblock, drids, ddead = delta
                     charge.count(
                         0, dblock.shape[0], max(1, dblock.shape[1])
                     )
-                    heap = heaps[qi]
-                    if heap_lazy[qi]:
-                        heapq.heapify(heap)
-                        heap_lazy[qi] = 0
-                    heap_dist[qi] = None
-                    for dist, rid in zip(
-                        ddists.tolist(), partition.delta_rids
-                    ):
-                        if rid in tomb_set:
-                            continue
-                        if len(heap) < k_eff:
-                            heapq.heappush(heap, (-dist, rid))
-                        elif dist < -heap[0][0]:
-                            heapq.heapreplace(heap, (-dist, rid))
-                    kth[qi] = (
-                        -heap[0][0] if len(heap) == k_eff else np.inf
-                    )
+                    ddists = np.linalg.norm(dblock - Qp[qi], axis=1)
+                    merge(qi, ddists, drids, ddead)
 
             sub = act[contacted[p, act]]
             if sub.size == 0 or bulk == 0:
@@ -945,7 +956,6 @@ class ExtendedIDistance(VectorIndex):
                 page_of_entry[seg_hi].tolist(),
             ):
                 charge = charges[qi]
-                heap = heaps[qi]
                 # I/O: the B+-tree leaf run covering the block's entry
                 # ranks, then its contiguous data-page run (entries are
                 # rank-ordered and partition data pages were allocated
@@ -959,10 +969,9 @@ class ExtendedIDistance(VectorIndex):
                 charge.read_range(pg_lo, pg_hi)
                 charge.count(ln, ln, width_charge)
                 if is_small:
-                    seg_d = dists_flat[s0 : s0 + ln]
-                    seg_r = rids_flat[s0 : s0 + ln]
-                    if dead is not None:
-                        seg_dead = dead_flat[s0 : s0 + ln]
+                    seg = slice(s0, s0 + ln)
+                    seg_d, seg_r = dists_flat[seg], rids_flat[seg]
+                    seg_dead = None if dead is None else dead_flat[seg]
                 else:
                     # Inline norm: np.linalg.norm(diff, axis=1) IS
                     # sqrt(add.reduce((x.conj()*x).real, axis)) —
@@ -970,74 +979,14 @@ class ExtendedIDistance(VectorIndex):
                     # sqrt — minus the dispatch overhead per call.
                     # In-place squaring/sqrt reuse the temporaries;
                     # the values are the same ops on the same bits.
-                    diff = vectors[lo_pos : lo_pos + ln] - Qp[qi]
+                    seg = slice(lo_pos, lo_pos + ln)
+                    diff = vectors[seg] - Qp[qi]
                     np.multiply(diff, diff, out=diff)
                     seg_d = np.add.reduce(diff, axis=1)
                     np.sqrt(seg_d, out=seg_d)
-                    seg_r = rids_all[lo_pos : lo_pos + ln]
-                    if dead is not None:
-                        seg_dead = dead[lo_pos : lo_pos + ln]
-                if dead is not None:
-                    alive = ~seg_dead
-                    seg_d = seg_d[alive]
-                    seg_r = seg_r[alive]
-                # Pre-filter: kth[qi] is maintained at every heap
-                # mutation, and a candidate at or beyond the current
-                # k-th best can never enter the heap.
-                current = kth[qi]
-                if current != np.inf:
-                    keep = seg_d < current
-                    seg_d = seg_d[keep]
-                    seg_r = seg_r[keep]
-                if seg_d.size >= 48:
-                    # Vectorized top-K merge.  Heap behavior depends
-                    # only on heap *content* (heapq always pops the
-                    # minimum tuple), and streaming offers with a
-                    # strict < keep exactly the k smallest of
-                    # {heap ∪ segment} whenever the k-th smallest
-                    # distance is unique in that union; only a tie
-                    # at the selection boundary is order-dependent,
-                    # and then we fall back to the literal offer
-                    # loop.  Either way the resulting content — and
-                    # so every later comparison — is bit-identical.
-                    inc = heap_dist[qi]
-                    if inc is None:
-                        inc = np.array(
-                            [-entry[0] for entry in heap],
-                            dtype=np.float64,
-                        )
-                        heap_dist[qi] = inc
-                    union_d = np.concatenate([inc, seg_d])
-                    if union_d.size > k_eff:
-                        top = np.argpartition(union_d, k_eff - 1)[
-                            :k_eff
-                        ]
-                        boundary = union_d[top].max()
-                        if int((union_d == boundary).sum()) == 1:
-                            n_inc = len(heap)
-                            heap = heaps[qi] = [
-                                heap[t]
-                                if t < n_inc
-                                else (
-                                    -float(seg_d[t - n_inc]),
-                                    int(seg_r[t - n_inc]),
-                                )
-                                for t in top.tolist()
-                            ]
-                            heap_dist[qi] = union_d[top]
-                            heap_lazy[qi] = 1
-                            kth[qi] = boundary
-                            continue
-                if heap_lazy[qi]:
-                    heapq.heapify(heap)
-                    heap_lazy[qi] = 0
-                heap_dist[qi] = None
-                for dist, rid in zip(seg_d.tolist(), seg_r.tolist()):
-                    if len(heap) < k_eff:
-                        heapq.heappush(heap, (-dist, rid))
-                    elif dist < -heap[0][0]:
-                        heapq.heapreplace(heap, (-dist, rid))
-                kth[qi] = -heap[0][0] if len(heap) == k_eff else np.inf
+                    seg_r = rids_all[seg]
+                    seg_dead = None if dead is None else dead[seg]
+                merge(qi, seg_d, seg_r, seg_dead)
 
         # Search terminates once the k-th best distance is within the
         # searched radius (no unexamined entry can score better) or the
@@ -1093,7 +1042,8 @@ class ExtendedIDistance(VectorIndex):
                         probe(partition, act)
                 if live and tracer.enabled:
                     expand_span.set(
-                        heap_size=len(heaps[0]), kth_best=float(kth[0])
+                        found=int(np.isfinite(best_d[0]).sum()),
+                        kth_best=float(kth[0]),
                     )
             done = (np.isfinite(kth[act]) & (kth[act] <= radius)) | (
                 radius > max_needed[act]
@@ -1106,4 +1056,4 @@ class ExtendedIDistance(VectorIndex):
                 tracer.histogram(
                     "knn.expansions_per_query", buckets=tuple(range(1, 65))
                 ).observe(expansions)
-        return heaps, charges
+        return (best_r, best_d), charges

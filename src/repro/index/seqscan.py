@@ -23,7 +23,7 @@ import numpy as np
 from ..obs.tracer import Tracer
 from ..reduction.base import ReducedDataset
 from ..storage.pager import pages_for_vectors, rows_per_page
-from .base import DEFAULT_POOL_PAGES, VectorIndex
+from .base import DEFAULT_POOL_PAGES, VectorIndex, canonical_top_k
 from .dynamic import DeltaStore, route_point
 
 __all__ = ["SequentialScan"]
@@ -220,6 +220,4 @@ class SequentialScan(VectorIndex):
             if tombs.size:
                 alive = ~np.isin(ids, tombs)
                 ids, distances = ids[alive], distances[alive]
-            top = np.argpartition(distances, k - 1)[:k]
-            best = top[np.argsort(distances[top])]
-            return ids[best], distances[best]
+            return canonical_top_k(ids, distances, k)

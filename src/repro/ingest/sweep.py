@@ -28,6 +28,7 @@ import numpy as np
 
 from ..bench.fingerprint import result_fingerprint
 from ..reduction.base import ReducedDataset
+from ..serve.router import canonicalize_rows
 from ..storage.faults import CrashError
 from .generation import SwapCrashPoint
 from .pipeline import IngestPipeline, IngestThresholds, Op
@@ -41,15 +42,14 @@ __all__ = [
 
 
 def batch_fingerprint(ids: np.ndarray, distances: np.ndarray) -> str:
-    """Order-insensitive fingerprint of a batch-KNN answer: each row is
-    canonicalized by ``(distance, id)`` before hashing, so legal tie
-    reorderings collapse to one digest (same canon as the serve router)."""
-    ids = np.atleast_2d(np.asarray(ids))
-    distances = np.atleast_2d(np.asarray(distances))
-    order = np.lexsort((ids, distances), axis=-1)
+    """Fingerprint of a batch-KNN answer with each row put in
+    ``(distance, id)`` order by the serve router's
+    :func:`~repro.serve.router.canonicalize_rows` before hashing."""
     return result_fingerprint(
-        np.take_along_axis(ids, order, axis=-1),
-        np.take_along_axis(distances, order, axis=-1),
+        *canonicalize_rows(
+            np.atleast_2d(np.asarray(ids)),
+            np.atleast_2d(np.asarray(distances)),
+        )
     )
 
 

@@ -25,9 +25,11 @@ Two modes:
 
 Shard-local rid space: index build paths size arrays by ``n_points`` and
 index them by rid, so a shard cannot keep global rids.  Each shard
-renumbers its points ``0..m-1`` (subspaces in order, then outliers) and
-carries ``rid_map`` (local → global, int64); the worker translates ids on
-the way out, so the router only ever sees global rids.
+renumbers its points ``0..m-1`` in ascending global-rid order and carries
+``rid_map`` (local → global, int64, sorted); the worker translates ids on
+the way out, so the router only ever sees global rids.  Because the
+renumbering is monotone, a shard breaks distance ties exactly as the
+single-node index does.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class ShardAssignment:
     #: Shard-local reduction: member_ids renumbered 0..m-1, projections /
     #: outlier points row-subset from the global arrays (same floats).
     reduced: ReducedDataset
-    #: ``rid_map[local_rid] == global_rid`` (int64, length m).
+    #: ``rid_map[local_rid] == global_rid`` (int64, length m, ascending).
     rid_map: np.ndarray
 
     @property
@@ -152,49 +154,42 @@ class ShardPlanner:
                     f"{reduced.outliers.size} outliers); use fewer shards "
                     f"or mode='hash'"
                 )
-            rid_chunks: List[np.ndarray] = []
+            # Local rids in global rid order (see the module docstring).
+            owned = [
+                subspace.member_ids[mask]
+                for subspace, mask in zip(reduced.subspaces, masks)
+            ]
+            owned_out = reduced.outliers.member_ids[outlier_mask]
+            rid_map = np.sort(np.concatenate([*owned, owned_out])).astype(
+                np.int64, copy=False
+            )
             subspaces: List[EllipticalSubspace] = []
-            cursor = 0
-            for subspace, mask in zip(reduced.subspaces, masks):
-                count = int(mask.sum())
-                if count == 0:
+            for subspace, mask, rids in zip(reduced.subspaces, masks, owned):
+                if rids.size == 0:
                     continue
-                rid_chunks.append(subspace.member_ids[mask])
                 subspaces.append(
                     EllipticalSubspace(
                         subspace_id=len(subspaces),
                         mean=subspace.mean,
                         basis=subspace.basis,
                         covariance=subspace.covariance,
-                        member_ids=np.arange(
-                            cursor, cursor + count, dtype=np.int64
-                        ),
+                        member_ids=np.searchsorted(rid_map, rids),
                         projections=subspace.projections[mask],
                         discovered_at_dim=subspace.discovered_at_dim,
                         mpe=subspace.mpe,
                         ellipticity=subspace.ellipticity,
                     )
                 )
-                cursor += count
-            n_out = int(outlier_mask.sum())
-            if n_out:
-                rid_chunks.append(reduced.outliers.member_ids[outlier_mask])
+            if owned_out.size:
                 out_points = reduced.outliers.points[outlier_mask]
             else:
                 out_points = np.empty(
                     (0, reduced.dimensionality), dtype=np.float64
                 )
             outliers = OutlierSet(
-                member_ids=np.arange(
-                    cursor, cursor + n_out, dtype=np.int64
-                ),
+                member_ids=np.searchsorted(rid_map, owned_out),
                 points=out_points,
             )
-            rid_map = (
-                np.concatenate(rid_chunks)
-                if rid_chunks
-                else np.empty(0, dtype=np.int64)
-            ).astype(np.int64, copy=False)
             shard_reduced = ReducedDataset(
                 method=reduced.method,
                 subspaces=subspaces,

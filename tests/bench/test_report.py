@@ -9,9 +9,8 @@ from repro.bench import (
     SCHEMA_VERSION,
     BenchReport,
     BenchReportError,
-    recovery_view,
-    throughput_view,
     validate_view,
+    view,
 )
 from repro.bench.report import RECOVERY_VIEW_KEYS, THROUGHPUT_VIEW_KEYS
 
@@ -170,18 +169,20 @@ class TestViews:
         )
 
     def test_throughput_view_shape(self):
-        view = throughput_view(self._full_report())
-        assert tuple(view) == THROUGHPUT_VIEW_KEYS
-        validate_view("throughput", view)
+        flat = view(self._full_report(), "throughput")
+        assert tuple(flat) == THROUGHPUT_VIEW_KEYS
+        validate_view("throughput", flat)
 
     def test_recovery_view_shape(self):
-        view = recovery_view(self._full_report())
-        assert tuple(view) == RECOVERY_VIEW_KEYS
-        validate_view("recovery", view)
+        flat = view(self._full_report(), "recovery")
+        assert tuple(flat) == RECOVERY_VIEW_KEYS
+        validate_view("recovery", flat)
 
     def test_view_missing_metric(self, report):
         with pytest.raises(BenchReportError, match="lacks view metrics"):
-            throughput_view(report)
+            view(report, "throughput")
+        with pytest.raises(BenchReportError, match="unknown view kind"):
+            view(report, "nope")
 
     def test_validate_view_rejects_extra_and_missing(self):
         with pytest.raises(BenchReportError, match="key mismatch"):

@@ -295,14 +295,6 @@ class TestHarnessRouting:
                 use_batch=True,
             )
 
-    def test_workload_chunks_contiguous(self, workload):
-        chunks = workload.chunks(3)
-        assert sum(c.n_queries for c in chunks) == workload.n_queries
-        reassembled = np.vstack([c.queries for c in chunks])
-        assert np.array_equal(reassembled, workload.queries)
-        with pytest.raises(ValueError):
-            workload.chunks(0)
-
 
 class TestLocate:
     def test_bulk_rids_locatable(self, reduced):

@@ -57,7 +57,8 @@ def serve_cluster(serve_reduced, tmp_path):
     """Factory: spin up a sharded cluster, tear it down afterwards.
 
     ``serve_cluster(scheme=..., n_shards=..., mode=..., store=...,
-    config=..., fault_specs={shard: WorkerFaultSpec})`` -> started Router.
+    config=..., fault_specs={shard: WorkerFaultSpec}, reduced=...)`` ->
+    started Router (``reduced`` defaults to ``serve_reduced``).
     """
     routers = []
 
@@ -68,10 +69,11 @@ def serve_cluster(serve_reduced, tmp_path):
         store="memory",
         config=None,
         fault_specs=None,
+        reduced=None,
     ):
         plan = ShardPlanner(
             n_shards, mode if mode is not None else mode_for_scheme(scheme)
-        ).plan(serve_reduced)
+        ).plan(reduced if reduced is not None else serve_reduced)
         root = tempfile.mkdtemp(dir=tmp_path)
         supervisor = Supervisor(plan, scheme, root, store=store)
         for shard_id, spec in (fault_specs or {}).items():

@@ -109,3 +109,13 @@ def test_describe_mentions_every_shard(serve_reduced):
     plan = ShardPlanner(2, "hash").plan(serve_reduced)
     text = plan.describe()
     assert "shard 0" in text and "shard 1" in text
+
+
+@pytest.mark.parametrize("mode", ["hash", "partition"])
+def test_local_rids_follow_global_rid_order(serve_reduced, mode):
+    """A shard breaks distance ties by local rid; that matches the
+    single-node ``(distance, rid)`` order only if renumbering is
+    monotone."""
+    plan = ShardPlanner(3, mode).plan(serve_reduced)
+    for assignment in plan.shards:
+        assert (np.diff(assignment.rid_map) > 0).all()
