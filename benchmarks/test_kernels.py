@@ -116,6 +116,19 @@ def test_kernel_microbench_and_report():
     advisory["flat_l2_fast_s"] = t_fast
     advisory["flat_l2_speedup"] = t_ref / t_fast
 
+    # The iDistance scan's dimension-major gather: same entries, same
+    # bits as the reference row-major gather, no backend dispatch.
+    t_col, col_flat = _best_of(
+        kernels.gather_column_l2,
+        np.ascontiguousarray(points.T),
+        positions,
+        np.ascontiguousarray(queries.T),
+        query_of_entry,
+    )
+    assert np.array_equal(col_flat, ref_flat)
+    advisory["gather_column_l2_s"] = t_col
+    advisory["gather_column_l2_speedup"] = t_ref / t_col
+
     n_clusters = 8
     centroids = rng.standard_normal((n_clusters, DIM))
     chol_invs = np.empty((n_clusters, DIM, DIM))

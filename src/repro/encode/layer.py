@@ -34,6 +34,7 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
+from ..linalg.kernels import column_l2
 from ..obs.tracer import Tracer, ensure_tracer
 from ..storage.pager import PAGE_SIZE
 from .pq import EncoderConfig, PQEncoder, adc_scan
@@ -282,10 +283,10 @@ class ApproxLayer:
                 for page in partition.delta_pages:
                     pool.read(page)
                 ref = partition.project_query(query)
-                block = np.vstack(partition.delta_vectors)
-                scored = np.linalg.norm(block - ref, axis=1)
+                columns = np.stack(partition.delta_vectors, axis=1)
+                scored = column_l2(columns, ref)
                 counters.count_distance(
-                    block.shape[0], dims=max(1, block.shape[1])
+                    columns.shape[1], dims=max(1, columns.shape[0])
                 )
                 for dist, rid in zip(scored.tolist(), partition.delta_rids):
                     if rid not in tomb:
@@ -296,10 +297,8 @@ class ApproxLayer:
             if delta is not None and delta.rids:
                 for page in delta.pages:
                     pool.read(page)
-                for vector, rid, sidx in delta.entries():
-                    ref = q_frames[sidx] if sidx >= 0 else query
-                    dist = float(np.linalg.norm(vector - ref))
-                    counters.count_distance(1, dims=max(1, vector.size))
+                scored = delta.score(query, q_frames, counters)
+                for dist, rid in zip(scored.tolist(), delta.rids):
                     if rid not in tomb:
                         dists.append(dist)
                         rids.append(rid)

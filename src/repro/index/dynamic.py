@@ -12,10 +12,11 @@ reorganize the bulk layout.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..linalg.kernels import column_l2
 from ..reduction.base import ReducedDataset
 from ..storage.pager import PAGE_SIZE, PageStore, vector_bytes
 
@@ -98,6 +99,32 @@ class DeltaStore:
     def entries(self):
         """Iterate ``(vector, rid, subspace_id)`` in insertion order."""
         return zip(self.vectors, self.rids, self.subspace_ids)
+
+    def score(
+        self,
+        query: np.ndarray,
+        q_frames: Sequence[np.ndarray],
+        counters,
+    ) -> np.ndarray:
+        """Distance from ``query`` to every entry, in insertion order.
+
+        An entry of subspace ``s`` is scored against ``q_frames[s]`` (the
+        query's projection into that subspace), an outlier against the
+        raw ``query``.  Each subspace's entries are stacked
+        dimension-major and scored by :func:`~repro.linalg.kernels.column_l2`,
+        the kernel iDistance scores its delta with, so an inserted vector
+        gets the same bits in every scheme.  Charges one distance per
+        entry to ``counters``.
+        """
+        out = np.empty(len(self.rids), dtype=np.float64)
+        sids = np.asarray(self.subspace_ids, dtype=np.int64)
+        for sidx in np.unique(sids).tolist():
+            at = np.flatnonzero(sids == sidx)
+            columns = np.stack([self.vectors[i] for i in at.tolist()], axis=1)
+            ref = q_frames[sidx] if sidx >= 0 else query
+            out[at] = column_l2(columns, ref)
+            counters.count_distance(at.size, dims=max(1, columns.shape[0]))
+        return out
 
     # -- recovery support ------------------------------------------------
 

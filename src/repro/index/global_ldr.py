@@ -212,13 +212,9 @@ class GlobalLDRIndex(VectorIndex):
             ):
                 for page in delta.pages:
                     self.pool.read(page)
-                for vec, rid, sidx in delta.entries():
-                    ref = q_proj[sidx] if sidx >= 0 else query
-                    dist = float(np.linalg.norm(vec - ref))
-                    self.counters.count_distance(
-                        1, dims=max(1, vec.size)
-                    )
-                    offer(dist, int(rid))
+                dists = delta.score(query, q_proj, self.counters)
+                for dist, rid in zip(dists.tolist(), delta.rids):
+                    offer(dist, rid)
 
         # One global frontier across every cluster's tree.
         frontier: List[Tuple[float, int, int]] = []

@@ -42,7 +42,14 @@ I/O model: the B+-tree stores (key, rid) entries; the reduced vectors are
 packed, in key order, into per-partition data pages read when a candidate
 is scored.  Key order means an expanding scan touches a contiguous run of
 data pages — the same locality as storing vectors in the leaves, with the
-accounting kept explicit.
+accounting kept explicit.  In memory each partition holds its vectors
+*dimension-major*: one C-contiguous ``(width, m)`` array in key order, so
+a key-ordered run of candidates is a column slice and a subspace of a few
+retained dimensions is scored a whole coordinate row at a time
+(:func:`~repro.linalg.kernels.column_l2`), with every distance
+bit-identical to ``np.linalg.norm(rows - q, axis=1)`` over the row-major
+rows.  The layout changes no page: page accounting is by entry position,
+and a page holds the same entries either way.
 
 One engine, :meth:`ExtendedIDistance._scan`, runs this search for a block
 of queries at once; the entry point only picks how it charges I/O.
@@ -63,11 +70,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.subspace import EllipticalSubspace, OutlierSet
-from ..linalg.backend import (
-    cold_lru_physical_reads,
-    flat_l2,
-    multi_arange,
-)
+from ..linalg.backend import cold_lru_physical_reads, multi_arange
+from ..linalg.kernels import column_l2, gather_column_l2
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..reduction.base import ReducedDataset
 from ..btree.tree import BPlusTree
@@ -90,7 +94,7 @@ class _Partition:
     index: int
     subspace: Optional[EllipticalSubspace]  # None for the outlier partition
     centroid: np.ndarray  # reference point in the partition's own frame
-    vectors: np.ndarray  # (m, width) sorted by key offset
+    columns: np.ndarray  # (width, m) dimension-major, sorted by key offset
     rids: np.ndarray  # (m,) global point ids, same order
     offsets: np.ndarray  # (m,) = dist(P, O_i), ascending
     page_of_entry: np.ndarray  # (m,) data page id per entry
@@ -111,6 +115,10 @@ class _Partition:
     @property
     def size(self) -> int:
         return self.rids.size + len(self.delta_rids)
+
+    @property
+    def width(self) -> int:
+        return self.columns.shape[0]
 
     def project_query(self, query: np.ndarray) -> np.ndarray:
         if self.subspace is not None:
@@ -304,6 +312,12 @@ class ExtendedIDistance(VectorIndex):
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        # Snapshots saved before the dimension-major layout carry
+        # row-major ``vectors``: transpose them once.
+        for partition in self.partitions:
+            vectors = partition.__dict__.pop("vectors", None)
+            if vectors is not None:
+                partition.columns = np.ascontiguousarray(vectors.T)
         # Snapshots saved before partitions carried a dead mask: rebuild
         # it from the tombstone set.
         if self.partitions and not hasattr(self.partitions[0], "dead"):
@@ -349,10 +363,10 @@ class ExtendedIDistance(VectorIndex):
         offsets: np.ndarray,
     ) -> None:
         order = np.argsort(offsets, kind="stable")
-        vectors = np.ascontiguousarray(vectors[order])
+        columns = np.ascontiguousarray(vectors.T[:, order])
         rids = rids[order]
         offsets = offsets[order]
-        width = vectors.shape[1]
+        width = columns.shape[0]
         per_page = max(1, PAGE_SIZE // max(1, vector_bytes(width)))
         page_of_entry = np.empty(rids.size, dtype=np.int64)
         for lo in range(0, rids.size, per_page):
@@ -367,7 +381,7 @@ class ExtendedIDistance(VectorIndex):
                 index=len(self.partitions),
                 subspace=subspace,
                 centroid=centroid,
-                vectors=vectors,
+                columns=columns,
                 rids=rids,
                 offsets=offsets,
                 page_of_entry=page_of_entry,
@@ -575,8 +589,8 @@ class ExtendedIDistance(VectorIndex):
 
         ``position`` indexes the partition's key-ordered layout: positions
         below ``partition.rids.size`` address the bulk-loaded arrays
-        (``partition.vectors[position]``); positions at or above it address
-        the delta store (``position - partition.rids.size`` into
+        (``partition.columns[:, position]``); positions at or above it
+        address the delta store (``position - partition.rids.size`` into
         ``partition.delta_vectors``), in insertion order.  Bulk locations
         come from the rid map built at load time; dynamic inserts register
         themselves as they arrive.  Raises ``KeyError`` for unknown rids.
@@ -706,11 +720,18 @@ class ExtendedIDistance(VectorIndex):
 
         Every query expands its search radius in lockstep.  Per partition
         and radius step, the still-active queries' directional block
-        boundaries come from *vectorized* searchsorted calls, and all of
-        their not-yet-visited candidates are scored by ONE gather kernel —
-        ``vectors[flat_positions] - q_proj[query_of_entry]`` reduced over
-        the last axis — whose entries are bit-identical to per-block norms
-        (see :mod:`repro.linalg.kernels`).  Only top-K selection stays per
+        boundaries come from *vectorized* searchsorted calls.  Blocks of
+        at least ``_BATCH_SEG_VIEW_MIN`` entries are scored one by one on
+        column slices of the partition's dimension-major array
+        (:func:`~repro.linalg.kernels.column_l2`); all shorter ones go
+        through ONE gather kernel,
+        ``columns[:, flat_positions] - q_proj[:, query_of_entry]``
+        (:func:`~repro.linalg.kernels.gather_column_l2`); a delta store
+        is stacked dimension-major on first contact and scored by
+        ``column_l2`` too.  Both kernels replay numpy's pairwise
+        summation order, so every distance is bit-identical to
+        ``np.linalg.norm(rows - q, axis=1)`` over row-major rows (see
+        :mod:`repro.linalg.kernels`).  Only top-K selection stays per
         query: ``merge`` folds each scored block into the query's dense
         best row by :func:`~repro.index.base.canonical_top_k`, so the
         answer is the top-K by ``(distance, rid)`` whichever rows share
@@ -740,8 +761,8 @@ class ExtendedIDistance(VectorIndex):
 
         # Per-partition query geometry.  Projections stay per-query gemv
         # calls (a stacked gemm is NOT bit-identical to gemv rows — see
-        # repro.linalg.kernels), gathered into one (Q, width) array per
-        # partition so the scan kernels can index rows by query.
+        # repro.linalg.kernels), gathered into one dimension-major
+        # (width, Q) array per partition, like the partition's columns.
         q_proj: List[np.ndarray] = []
         q_dist = np.empty((n_parts, n_queries), dtype=np.float64)
         with (NULL_TRACER if live else tracer).span(
@@ -751,8 +772,7 @@ class ExtendedIDistance(VectorIndex):
         ):
             for partition in self.partitions:
                 block = np.empty(
-                    (n_queries, partition.vectors.shape[1]),
-                    dtype=np.float64,
+                    (partition.width, n_queries), dtype=np.float64
                 )
                 centroid = partition.centroid
                 row = q_dist[partition.index]
@@ -765,19 +785,19 @@ class ExtendedIDistance(VectorIndex):
                     mean, basis = subspace.mean, subspace.basis
                     for i in range(n_queries):
                         proj = (queries[i] - mean) @ basis
-                        block[i] = proj
+                        block[:, i] = proj
                         diff = proj - centroid
                         row[i] = math.sqrt(float(np.dot(diff, diff)))
                 else:
-                    block[:] = queries
+                    block[:] = queries.T
                     for i in range(n_queries):
                         diff = queries[i] - centroid
                         row[i] = math.sqrt(float(np.dot(diff, diff)))
                 q_proj.append(block)
 
         # Each partition's delta store (dynamic inserts) is stacked once,
-        # when the first query reaches that partition: (vectors, rids,
-        # dead mask or None).
+        # dimension-major, when the first query reaches that partition:
+        # (columns, rids, dead mask or None).
         delta_blocks: Dict[int, tuple] = {}
 
         max_r = np.array([[p.max_radius] for p in self.partitions])
@@ -839,7 +859,8 @@ class ExtendedIDistance(VectorIndex):
             offsets = partition.offsets
             bulk = offsets.size
             Qp = q_proj[p]
-            width_charge = max(1, partition.vectors.shape[1])
+            columns = partition.columns
+            width_charge = max(1, partition.width)
 
             # First contact per query: descend the tree to the entry
             # nearest the query's own offset (clamped into the annulus,
@@ -869,16 +890,13 @@ class ExtendedIDistance(VectorIndex):
                             else None
                         )
                         delta = delta_blocks[p] = (
-                            np.vstack(partition.delta_vectors),
+                            np.stack(partition.delta_vectors, axis=1),
                             np.asarray(drids),
                             ddead,
                         )
-                    dblock, drids, ddead = delta
-                    charge.count(
-                        0, dblock.shape[0], max(1, dblock.shape[1])
-                    )
-                    ddists = np.linalg.norm(dblock - Qp[qi], axis=1)
-                    merge(qi, ddists, drids, ddead)
+                    dcols, drids, ddead = delta
+                    charge.count(0, drids.size, width_charge)
+                    merge(qi, column_l2(dcols, Qp[:, qi]), drids, ddead)
 
             sub = act[contacted[p, act]]
             if sub.size == 0 or bulk == 0:
@@ -929,13 +947,12 @@ class ExtendedIDistance(VectorIndex):
             if small.any():
                 flat = multi_arange(seg_lo[small], seg_hi[small] + 1)
                 entry_q = np.repeat(seg_q, small_len)
-                dists_flat = flat_l2(partition.vectors, flat, Qp, entry_q)
+                dists_flat = gather_column_l2(columns, flat, Qp, entry_q)
                 rids_flat = partition.rids[flat]
                 if dead is not None:
                     dead_flat = dead[flat]
             # Offset of each small block inside the gathered arrays.
             flat_start = np.cumsum(small_len) - small_len
-            vectors = partition.vectors
             rids_all = partition.rids
             rank0 = int(self._rank_base[p])
             leaf_a = (rank0 + seg_lo) // fill
@@ -973,17 +990,8 @@ class ExtendedIDistance(VectorIndex):
                     seg_d, seg_r = dists_flat[seg], rids_flat[seg]
                     seg_dead = None if dead is None else dead_flat[seg]
                 else:
-                    # Inline norm: np.linalg.norm(diff, axis=1) IS
-                    # sqrt(add.reduce((x.conj()*x).real, axis)) —
-                    # same multiplies, same pairwise reduction, same
-                    # sqrt — minus the dispatch overhead per call.
-                    # In-place squaring/sqrt reuse the temporaries;
-                    # the values are the same ops on the same bits.
                     seg = slice(lo_pos, lo_pos + ln)
-                    diff = vectors[seg] - Qp[qi]
-                    np.multiply(diff, diff, out=diff)
-                    seg_d = np.add.reduce(diff, axis=1)
-                    np.sqrt(seg_d, out=seg_d)
+                    seg_d = column_l2(columns[:, seg], Qp[:, qi])
                     seg_r = rids_all[seg]
                     seg_dead = None if dead is None else dead[seg]
                 merge(qi, seg_d, seg_r, seg_dead)

@@ -204,12 +204,9 @@ class SequentialScan(VectorIndex):
                     outliers.size, dims=self.reduced.dimensionality
                 )
             if len(self.delta):
-                ddists = np.empty(len(self.delta), dtype=np.float64)
-                for j, (vec, _, sidx) in enumerate(self.delta.entries()):
-                    ref = q_projs[sidx] if sidx >= 0 else query
-                    ddists[j] = float(np.linalg.norm(vec - ref))
-                    self.counters.count_distance(1, dims=max(1, vec.size))
-                dist_chunks.append(ddists)
+                dist_chunks.append(
+                    self.delta.score(query, q_projs, self.counters)
+                )
                 id_chunks.append(
                     np.asarray(self.delta.rids, dtype=np.int64)
                 )

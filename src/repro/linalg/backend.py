@@ -21,6 +21,12 @@ inside kernels, so they are identical across backends by construction —
 which is what keeps the machine-independent bench gate meaningful while
 wall-clock improves.
 
+The iDistance scan's dimension-major kernels
+(:func:`~repro.linalg.kernels.column_l2`,
+:func:`~repro.linalg.kernels.gather_column_l2`) are the exception: they
+are called directly on every backend, being both bit-exact to the
+reference row norms and faster than the row-major gather.
+
 The dispatchers below enforce the contiguity/dtype contract once per call
 (:func:`repro.linalg.kernels.require_kernel_matrix`) for the compiled
 path; the reference kernels carry the same guard themselves.

@@ -13,9 +13,28 @@ only on the length and layout of the reduced axis, so
     np.linalg.norm(P[None, :, :] - Q[:, None, :], axis=2)[i]
         == np.linalg.norm(P - Q[i], axis=1)          # bit-for-bit
 
-holds for C-contiguous inputs.  The helpers here package that identity (plus
-the flat gather variant the iDistance scan uses) with query-chunking so the
-broadcast buffer stays bounded.
+holds for C-contiguous inputs.  :func:`batch_l2_rows` and :func:`flat_l2`
+package that identity with chunking so the broadcast buffer stays bounded.
+
+Reducing a short last axis row by row is slow, though: numpy runs one
+inner-loop call per row, so a 4-wide subspace pays one call per candidate.
+:func:`column_l2` and :func:`gather_column_l2` score *dimension-major*
+data — a ``(width, m)`` array whose row ``j`` holds every candidate's
+coordinate ``j`` — one whole coordinate row per numpy call, and replay the
+order numpy's pairwise summation (``pairwise_sum`` in numpy's
+``loops_utils``) gives a contiguous row of ``width`` squares:
+
+* ``width < 8`` — sequential adds;
+* ``8 <= width <= 128`` — eight lanes, each summing every eighth square,
+  folded as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then
+  the ``width % 8`` tail added in order;
+* ``width > 128`` — halve at ``n2 = width // 2 - (width // 2) % 8`` and
+  add the two halves' sums.
+
+Every candidate sees the same adds, in the same order, on the same
+squares, so each distance is bit-identical to
+``np.linalg.norm(rows - q, axis=1)`` over the row-major rows
+(``tests/linalg/test_kernels.py`` checks widths 1..300).
 """
 
 from __future__ import annotations
@@ -29,6 +48,8 @@ __all__ = [
     "multi_arange",
     "batch_l2_rows",
     "flat_l2",
+    "column_l2",
+    "gather_column_l2",
     "batch_mahalanobis_rows",
     "normalize_rows",
     "cold_lru_physical_reads",
@@ -123,11 +144,12 @@ def flat_l2(
 ) -> np.ndarray:
     """Per-entry distances ``||points[positions[e]] - queries[query_of_entry[e]]||``.
 
-    This is the shared-scan kernel: every (query, candidate) pair the batch
-    scan needs is one row of a single ``(N, d)`` elementwise subtraction, so
-    no distances are computed for pairs no query asked for, and each entry is
-    bit-identical to the sequential per-block
-    ``np.linalg.norm(block - q_proj, axis=1)``.
+    The row-major gather: every (query, candidate) pair is one row of a
+    single ``(N, d)`` elementwise subtraction, so no distances are computed
+    for pairs no query asked for, and each entry is bit-identical to the
+    sequential per-block ``np.linalg.norm(block - q_proj, axis=1)``.  The
+    iDistance scan uses its dimension-major twin,
+    :func:`gather_column_l2`, which returns the same bits.
 
     Large gathers are chunked along the entry axis so the two gathered
     ``(N, d)`` temporaries stay cache-friendly instead of forcing fresh
@@ -149,6 +171,85 @@ def flat_l2(
         hi = min(lo + chunk, n)
         diff = points[positions[lo:hi]] - queries[query_of_entry[lo:hi]]
         out[lo:hi] = np.linalg.norm(diff, axis=1)
+    return out
+
+
+#: numpy's pairwise-summation block size (``PW_BLOCKSIZE``): runs up to
+#: this length are summed in eight lanes, longer ones are halved first.
+_PW_BLOCKSIZE = 128
+
+
+def _pairwise_rows(sq: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Sum rows ``lo .. lo+n-1`` of ``sq`` elementwise, in numpy's pairwise
+    order, *into* row ``lo`` (``sq`` is scratch) and return that row."""
+    acc = sq[lo]
+    if n < 8:
+        for i in range(lo + 1, lo + n):
+            acc += sq[i]
+        return acc
+    if n <= _PW_BLOCKSIZE:
+        lanes = sq[lo : lo + 8]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            lanes += sq[i : i + 8]
+        lanes[0::2] += lanes[1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        lanes[0::4] += lanes[2::4]  # (..)+(..) within each half
+        acc += lanes[4]
+        for i in range(stop, lo + n):
+            acc += sq[i]
+        return acc
+    n2 = n // 2
+    n2 -= n2 % 8
+    acc = _pairwise_rows(sq, lo, n2)
+    acc += _pairwise_rows(sq, lo + n2, n - n2)
+    return acc
+
+
+def _column_norms(diff: np.ndarray) -> np.ndarray:
+    """Per-column L2 norm of a ``(width, m)`` difference array that the
+    caller owns (it is overwritten)."""
+    width = diff.shape[0]
+    if width == 0:
+        return np.zeros(diff.shape[1], dtype=np.float64)
+    np.multiply(diff, diff, out=diff)
+    out = _pairwise_rows(diff, 0, width)
+    return np.sqrt(out, out=out)
+
+
+def column_l2(columns: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """``(m,)`` distances from ``query`` to the columns of ``columns``.
+
+    ``columns`` is dimension-major, ``(width, m)`` — any view, e.g. the
+    slice ``part[:, lo:hi]`` of a partition's key-ordered array — and
+    ``query`` is ``(width,)``.  Entry ``e`` is bit-identical to
+    ``np.linalg.norm(columns.T - query, axis=1)[e]`` computed on a
+    C-contiguous copy (see the module docstring).
+    """
+    return _column_norms(columns - query[:, None])
+
+
+def gather_column_l2(
+    columns: np.ndarray,
+    positions: np.ndarray,
+    queries: np.ndarray,
+    query_of_entry: np.ndarray,
+) -> np.ndarray:
+    """Per-entry ``||columns[:, positions[e]] - queries[:, query_of_entry[e]]||``.
+
+    The dimension-major twin of :func:`flat_l2`: ``columns`` is
+    ``(width, m)``, ``queries`` is ``(width, Q)``, and every entry is
+    bit-identical to ``np.linalg.norm(rows - q, axis=1)`` over its
+    row-major row.  Large gathers are chunked along the entry axis, which
+    cannot change a value (columns are independent).
+    """
+    n = positions.size
+    out = np.empty(n, dtype=np.float64)
+    chunk = max(1, _MAX_BUFFER_ELEMS // (4 * max(1, columns.shape[0])))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        diff = columns.take(positions[lo:hi], axis=1)
+        diff -= queries.take(query_of_entry[lo:hi], axis=1)
+        out[lo:hi] = _column_norms(diff)
     return out
 
 

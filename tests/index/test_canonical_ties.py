@@ -105,3 +105,31 @@ def test_schemes_agree_after_duplicate_inserts_and_deletes(tripled):
         for row, query in enumerate(queries[:8]):
             one = indexes[name].knn(query, 10)
             np.testing.assert_array_equal(one.ids, ref.ids[row])
+
+
+def test_inserted_copies_score_the_same_bits_in_every_scheme(tripled):
+    """Exact copies of bulk vectors, inserted online, land in each
+    scheme's delta store.  Every scheme must score a delta entry with the
+    same kernel as iDistance (a 1-d ``np.linalg.norm`` goes through BLAS
+    ``dot`` and differs in the last bit for a share of vectors), so the
+    answers agree in ids *and* in every distance bit."""
+    reduced, points, queries = tripled
+    n = reduced.n_points
+    sources = np.arange(0, n // COPIES, 3)
+    indexes = {name: build(reduced) for name, build in INDEX_SCHEMES.items()}
+    for index in indexes.values():
+        for rid, source in enumerate(sources.tolist(), start=n):
+            index.insert(points[source], rid)
+    for k in (4, 10):
+        answers = {
+            name: index.knn_batch(queries, k)
+            for name, index in indexes.items()
+        }
+        ref = answers["SeqScan"]
+        for name, got in answers.items():
+            np.testing.assert_array_equal(got.ids, ref.ids, err_msg=name)
+            assert np.array_equal(got.distances, ref.distances), name
+            for row, query in enumerate(queries):
+                one = indexes[name].knn(query, k)
+                np.testing.assert_array_equal(one.ids, ref.ids[row])
+                assert np.array_equal(one.distances, ref.distances[row])

@@ -6,7 +6,9 @@ import pytest
 from repro.linalg.kernels import (
     batch_l2_rows,
     cold_lru_physical_reads,
+    column_l2,
     flat_l2,
+    gather_column_l2,
     multi_arange,
 )
 
@@ -92,6 +94,61 @@ class TestFlatL2:
             np.empty(0, dtype=np.int64),
         )
         assert out.size == 0
+
+
+@pytest.mark.kernel_smoke
+class TestColumnL2:
+    """The dimension-major kernels replay numpy's own pairwise reduction
+    order, so they must equal ``np.linalg.norm(rows - q, axis=1)`` bit for
+    bit at every width: sequential (< 8), eight lanes (8..128) and the
+    halving recursion (> 128).  A numpy release that changes its summation
+    order fails here, on every CI interpreter."""
+
+    WIDTHS = range(1, 301)
+    LENGTHS = (0, 1, 7, 8, 9, 1000)
+
+    def test_slices_bit_identical_to_row_norm(self, rng):
+        for width in self.WIDTHS:
+            rows = rng.normal(size=(1002, width)) * rng.uniform(0.01, 100)
+            columns = np.ascontiguousarray(rows.T)
+            query = rng.normal(size=width)
+            for length in self.LENGTHS:
+                lo = int(rng.integers(0, 1002 - length + 1))
+                seg = slice(lo, lo + length)
+                want = np.linalg.norm(rows[seg] - query, axis=1)
+                got = column_l2(columns[:, seg], query)
+                assert np.array_equal(got, want), (width, length)
+
+    def test_gathers_bit_identical_to_row_norm(self, rng):
+        for width in self.WIDTHS:
+            rows = rng.normal(size=(300, width)) * rng.uniform(0.01, 100)
+            columns = np.ascontiguousarray(rows.T)
+            queries = rng.normal(size=(5, width))
+            q_columns = np.ascontiguousarray(queries.T)
+            for length in self.LENGTHS:
+                positions = rng.integers(0, 300, size=length)
+                owner = rng.integers(0, 5, size=length)
+                want = np.linalg.norm(rows[positions] - queries[owner], axis=1)
+                got = gather_column_l2(columns, positions, q_columns, owner)
+                assert np.array_equal(got, want), (width, length)
+
+    def test_gather_chunking_preserves_bit_identity(self, rng, monkeypatch):
+        import repro.linalg.kernels as kernels
+
+        columns = rng.normal(size=(9, 60))
+        queries = rng.normal(size=(9, 3))
+        positions = rng.integers(0, 60, size=40)
+        owner = rng.integers(0, 3, size=40)
+        full = gather_column_l2(columns, positions, queries, owner)
+        monkeypatch.setattr(kernels, "_MAX_BUFFER_ELEMS", 1)
+        assert np.array_equal(
+            gather_column_l2(columns, positions, queries, owner), full
+        )
+
+    def test_zero_width(self):
+        assert np.array_equal(
+            column_l2(np.empty((0, 3)), np.empty(0)), np.zeros(3)
+        )
 
 
 def _reference_lru(sequence, capacity):

@@ -113,6 +113,30 @@ def test_idistance_snapshot_without_dead_masks_loads(reduced):
     assert_same_answers(index, restored, ds.points[:4])
 
 
+def test_idistance_snapshot_with_row_major_vectors_loads(reduced):
+    """An iDistance pickled before partitions were stored dimension-major
+    carries row-major ``vectors``; loading it rebuilds ``columns`` and
+    answers ``knn`` and ``knn_batch`` exactly as the live index does."""
+    ds, red = reduced
+    index = ExtendedIDistance(red)
+    mutate(index, ds.points, red.n_points)
+    old = pickle.loads(pickle.dumps(index))
+    for partition in old.partitions:
+        partition.vectors = np.ascontiguousarray(
+            partition.__dict__.pop("columns").T
+        )
+    restored = pickle.loads(pickle.dumps(old))
+    for a, b in zip(index.partitions, restored.partitions):
+        assert not hasattr(b, "vectors")
+        assert b.columns.flags.c_contiguous
+        assert np.array_equal(a.columns, b.columns)
+    assert_same_answers(index, restored, ds.points[:4])
+    want = index.knn_batch(ds.points[:8], 5)
+    got = restored.knn_batch(ds.points[:8], 5)
+    assert np.array_equal(got.ids, want.ids)
+    assert np.array_equal(got.distances, want.distances)
+
+
 class TestLoadThenRecoverOrdering:
     """The snapshot is the *baseline*; WAL records after its CHECKPOINT are
     the delta.  Loading the snapshot and then recovering must equal the
